@@ -301,6 +301,29 @@ def report_cycles_per_sec(report: Dict[str, Any]) -> Optional[float]:
     return cycles / wall if cycles > 0 else None
 
 
+def counter_drift(
+    old: Optional[Dict[str, float]], new: Optional[Dict[str, float]]
+) -> str:
+    """Name each counter that differs between two job records.
+
+    Records carry their nonzero counters (absent means zero); a record
+    written before counters were recorded cannot be diffed.
+    """
+    if old is None or new is None:
+        return (
+            "(a record carries no counters; regenerate the baseline to "
+            "name the changed ones)"
+        )
+    changed = [
+        f"{name} {old.get(name, 0.0):g} -> {new.get(name, 0.0):g}"
+        for name in sorted(set(old) | set(new))
+        if old.get(name, 0.0) != new.get(name, 0.0)
+    ]
+    if not changed:
+        return "(the recorded counters agree; only the digest differs)"
+    return "(changed counters: " + ", ".join(changed) + ")"
+
+
 def compare_bench(
     baseline: Dict[str, Any],
     fresh: Dict[str, Any],
@@ -363,7 +386,7 @@ def compare_bench(
                         f"{job_id}: counter digest drifted "
                         f"{str(base.get(fld))[:12]}... -> "
                         f"{str(new.get(fld))[:12]}... "
-                        "(some machine counter changed value)"
+                        + counter_drift(base.get("counters"), new.get("counters"))
                     )
                 else:
                     errors.append(

@@ -33,7 +33,7 @@ import traceback
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..obs.export import counter_digest, json_digest
+from ..obs.export import counter_digest, json_digest, nonzero_counters
 from .runner import policy_available, run_experiment
 
 __all__ = [
@@ -298,10 +298,15 @@ def _run_cell_job(job: JobSpec) -> Dict[str, Any]:
 
 
 def _report_payload(report) -> Dict[str, Any]:
-    """The deterministic per-run payload shared by cell and trace jobs."""
+    """The deterministic per-run payload shared by cell and trace jobs.
+
+    ``counters`` holds the nonzero counters the digest is taken over, so
+    a digest drift can be explained counter by counter.
+    """
     payload: Dict[str, Any] = {
         "sim_cycles": report.cycles,
         "counter_digest": counter_digest(report.counters),
+        "counters": nonzero_counters(report.counters),
         "metrics": {
             "transient_gbps": report.transient.bandwidth_gbps,
             "stable_gbps": report.stable.bandwidth_gbps,

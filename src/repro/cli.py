@@ -922,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the chaos corpus: fault grid x seeds with invariants on",
     )
     check_p.add_argument(
-        "--profile", default="quick", choices=("quick", "full")
+        "--profile", default="quick", choices=("quick", "full", "kswapd")
     )
     check_p.add_argument(
         "--platforms", default="",

@@ -86,6 +86,16 @@ FAULT_GRID: Dict[str, Dict[str, Any]] = {
     # random order instead of FIFO. No faults -- any violation here is
     # a latent ordering assumption in the simulator itself.
     "jitter": {"faults": {}, "event_jitter": True},
+    # Every kswapd demotion fails once the first 200 candidates have
+    # gone through: the early demotions make room for promotions whose
+    # shadows the stores later discard, so the fast-tier daemon goes
+    # hopeless, parks, and is re-armed by those slow-tier frees.
+    "kswapd-hopeless": {
+        "faults": _attrs(**{
+            "reclaim.demote_fail": dict(probability=1.0, space=200),
+        }),
+        "event_jitter": True,
+    },
     # Everything at once, at lower rates, plus jitter.
     "chaos": {
         "faults": _attrs(**{
@@ -174,9 +184,26 @@ def _full_jobs() -> List[CheckJob]:
     return jobs
 
 
+def _kswapd_jobs() -> List[CheckJob]:
+    # Long enough (about 25M cycles) for the fast-tier daemon to give up
+    # MAX_RECLAIM_RETRIES times in a row and park; under no-migration it
+    # stays parked, under Nomad shadow discards re-arm it.
+    jobs = [
+        CheckJob(policy="nomad", write_ratio=0.5, accesses=60_000,
+                 fault="kswapd-hopeless", seed=seed)
+        for seed in (42, 43)
+    ]
+    jobs.append(
+        CheckJob(policy="no-migration", write_ratio=0.5, accesses=60_000,
+                 fault="jitter", seed=42)
+    )
+    return jobs
+
+
 PROFILES: Dict[str, Callable[[], List[CheckJob]]] = {
     "quick": _quick_jobs,
     "full": _full_jobs,
+    "kswapd": _kswapd_jobs,
 }
 
 
@@ -232,6 +259,7 @@ def expand_profile(
 def run_check_job(job: CheckJob) -> Dict[str, Any]:
     """Run one chaos cell; returns a JSON-safe record."""
     from ..bench.runner import run_experiment
+    from ..obs.export import nonzero_counters
     from ..system import MachineConfig
     from ..workloads import ZipfianMicrobench
 
@@ -273,6 +301,7 @@ def run_check_job(job: CheckJob) -> Dict[str, Any]:
         checker_passes=summary["invariants"]["passes"],
         violations=violations,
         injections=injections,
+        counters=nonzero_counters(result.report.counters),
         sim_cycles=machine.engine.now,
         wall_time_s=round(time.time() - start, 3),
     )

@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from ..kernel.reclaim import MAX_RECLAIM_RETRIES
 from ..mem.frame import compound_head
 from ..mem.xarray import XA_MARK_0
 from ..mmu.pte import PTE_WRITE
@@ -469,6 +470,43 @@ def _check_queue_consistency(machine: "Machine") -> List[str]:
                 out.append(
                     f"{qname}: live entry vpn {r.vpn} references tail "
                     f"pfn {r.frame.pfn}"
+                )
+    return out
+
+
+@register_invariant(
+    "kswapd.backoff",
+    "a parked kswapd has exactly MAX_RECLAIM_RETRIES failures, sleeps on "
+    "its wakeup event (not a timer), and its pgfree snapshots are in the past",
+)
+def _check_kswapd_backoff(machine: "Machine") -> List[str]:
+    out: List[str] = []
+    for daemon in machine.kswapd:
+        proc = daemon.proc
+        if proc is None or not proc.alive:
+            continue
+        where = f"kswapd{daemon.node_id}"
+        if daemon.parked_at is None:
+            if daemon.failures >= MAX_RECLAIM_RETRIES:
+                out.append(
+                    f"{where}: {daemon.failures} failures but not parked"
+                )
+            continue
+        if daemon.failures != MAX_RECLAIM_RETRIES:
+            out.append(
+                f"{where}: parked with {daemon.failures} failures, "
+                f"expected {MAX_RECLAIM_RETRIES}"
+            )
+        if proc not in daemon._wakeup._waiters:
+            out.append(
+                f"{where}: parked but not waiting on its wakeup event "
+                "(sleeping on a timer?)"
+            )
+        for node, snap in zip(daemon.watched, daemon.parked_at):
+            if snap > node.pgfree:
+                out.append(
+                    f"{where}: pgfree snapshot {snap} of node "
+                    f"{node.node_id} exceeds its count {node.pgfree}"
                 )
     return out
 

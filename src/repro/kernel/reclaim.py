@@ -14,11 +14,19 @@ high watermark:
 
 The fast-tier daemon is TPP's asynchronous demotion engine; the paper's
 Figure 2 shows it mostly idle, which our per-CPU accounting reproduces.
+
+A node where reclaim keeps failing is *hopeless* (Linux's
+``pgdat->kswapd_failures``): a run that gives up without freeing a page
+counts as a failure, a run that frees one resets the count, and after
+``MAX_RECLAIM_RETRIES`` failures in a row the daemon parks. A parked
+daemon ignores watermark wakeups until a page has been freed on its node
+or on its demotion target, which is what can make reclaim succeed again
+(installing a new policy re-arms it too).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..mem.frame import Frame, FrameFlags
 from ..mmu.pte import PTE_ACCESSED
@@ -27,9 +35,11 @@ from ..sim.bus import LowWatermark
 if TYPE_CHECKING:  # pragma: no cover
     from ..system import Machine
 
-__all__ = ["Kswapd"]
+__all__ = ["Kswapd", "MAX_RECLAIM_RETRIES"]
 
 SCAN_BATCH = 32
+# Fruitless runs in a row after which kswapd parks on a hopeless node.
+MAX_RECLAIM_RETRIES = 16
 
 _LOCKED = FrameFlags.LOCKED
 _REFERENCED = FrameFlags.REFERENCED
@@ -43,9 +53,19 @@ class Kswapd:
         self.node_id = node_id
         self.cpu = machine.cpus.get(f"kswapd{node_id}")
         self._wakeup = machine.engine.event(f"kswapd{node_id}.wakeup")
-        self._running = False
         self.proc = None
         self._sub = None
+        # Consecutive runs that gave up without freeing a page.
+        self.failures = 0
+        # Frees on these nodes can make reclaim succeed again: our own
+        # node, and the demotion target our victims would move to.
+        tiers = machine.tiers
+        target = tiers.demotion_target(node_id)
+        self.watched = tuple(
+            tiers.nodes[n] for n in (node_id, target) if n is not None
+        )
+        # While parked: the watched nodes' pgfree counts at parking time.
+        self.parked_at: Optional[Tuple[int, ...]] = None
 
     def start(self) -> None:
         self.proc = self.machine.engine.spawn(
@@ -68,8 +88,24 @@ class Kswapd:
             self.wake()
 
     def wake(self) -> None:
+        if self.parked_at is not None:
+            if self.parked_at == self.freed_counts():
+                return  # hopeless node: nothing freed since we parked
+            self.parked_at = None
+            self.failures = 0
+            self.machine.stats.bump("kswapd.rearms")
         if not self._wakeup.triggered:
             self._wakeup.succeed()
+
+    def freed_counts(self) -> Tuple[int, ...]:
+        return tuple(node.pgfree for node in self.watched)
+
+    def forget_failures(self) -> None:
+        """Judge the node afresh, waking the daemon if it was parked."""
+        self.failures = 0
+        if self.parked_at is not None:
+            self.parked_at = None
+            self.wake()
 
     # ------------------------------------------------------------------
     def _run(self):
@@ -78,9 +114,9 @@ class Kswapd:
         while True:
             if not node.below_low() or self._no_policy():
                 # Sleep until the allocator wakes us.
-                self._wakeup = m.engine.event(f"kswapd{self.node_id}.wakeup")
-                yield self._wakeup
+                yield self._sleep()
             passes_without_progress = 0
+            run_freed = 0
             gave_up = False
             while node.reclaim_target() > 0:
                 # Like the kernel's scan priority, reclaim escalates when
@@ -104,6 +140,7 @@ class Kswapd:
                     cycles=cycles,
                 )
                 yield self.cpu.account("reclaim", max(cycles, 1.0))
+                run_freed += freed
                 if freed == 0 and not progressed:
                     passes_without_progress += 1
                     if passes_without_progress >= 4:
@@ -114,10 +151,30 @@ class Kswapd:
                     yield 50_000.0
                 else:
                     passes_without_progress = 0
+            if run_freed:
+                self.failures = 0
+            elif gave_up:
+                self.failures += 1
+                if self.failures >= MAX_RECLAIM_RETRIES:
+                    yield self._park()
+                    continue
             if gave_up:
                 # Nothing reclaimable right now; avoid a busy loop while
                 # the node stays below its watermark.
                 yield 500_000.0
+
+    def _sleep(self):
+        """A fresh wakeup event for the daemon to wait on."""
+        self._wakeup = self.machine.engine.event(f"kswapd{self.node_id}.wakeup")
+        return self._wakeup
+
+    def _park(self):
+        """Give up on a hopeless node until a watched node frees a page."""
+        m = self.machine
+        self.parked_at = self.freed_counts()
+        m.stats.bump("kswapd.backoffs")
+        m.obs.emit("reclaim.backoff", node=self.node_id, failures=self.failures)
+        return self._sleep()
 
     def _no_policy(self) -> bool:
         return self.machine.policy is None

@@ -62,6 +62,11 @@ class MemoryNode:
         # True makes the allocation fail as if the node were exhausted
         # (the kernel's fail_page_alloc). None costs one attribute test.
         self.fault_hook: Optional[Callable[[int, int], bool]] = None
+        # Monotonic count of frames ever returned to the free list (the
+        # kernel's pgfree vmstat). A hopeless kswapd compares it against
+        # the value it saw when it parked to learn that reclaim might
+        # succeed again.
+        self.pgfree = 0
         # Watermarks in pages, scaled like the kernel's watermark_scale_factor.
         base = max(1, int(nr_pages * watermark_scale))
         self.wmark_min = base
@@ -208,6 +213,7 @@ class MemoryNode:
         self._free.append(frame.pfn)
         self._free_set.add(frame.pfn)
         self._free_map[frame.pfn] = True
+        self.pgfree += 1
 
     def frame(self, pfn: int) -> Frame:
         return self.frames[pfn]

@@ -57,6 +57,8 @@ COUNTERS: Dict[str, str] = {
     # ---- reclaim (kernel/reclaim.py) ---------------------------------
     "kswapd.passes": "kswapd reclaim passes",
     "kswapd.gave_up": "kswapd runs that stopped without reaching the target",
+    "kswapd.backoffs": "kswapd parked on a hopeless node until a page is freed",
+    "kswapd.rearms": "parked kswapd woken after a watched node freed a page",
     # ---- LRU (kernel/lru.py) -----------------------------------------
     "lru.activation_requests": "pages queued for activation (pagevec)",
     "lru.activations": "pages actually moved to the active list",

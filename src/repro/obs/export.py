@@ -46,6 +46,7 @@ __all__ = [
     "write_obs_outputs",
     "counter_digest",
     "json_digest",
+    "nonzero_counters",
 ]
 
 _METRIC_SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
@@ -70,6 +71,13 @@ def json_digest(obj: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def nonzero_counters(counters: Mapping[str, float]) -> Dict[str, float]:
+    """The counters a digest covers: nonzero ones, as floats, by name."""
+    return {
+        name: float(value) for name, value in sorted(counters.items()) if value
+    }
+
+
 def counter_digest(counters: Mapping[str, float]) -> str:
     """Digest of a counter map, ignoring zero-valued entries.
 
@@ -78,9 +86,7 @@ def counter_digest(counters: Mapping[str, float]) -> str:
     activity counts. The simulator is deterministic, so any digest drift
     between two runs of the same cell is a real behaviour change.
     """
-    return json_digest(
-        {name: float(value) for name, value in counters.items() if value}
-    )
+    return json_digest(nonzero_counters(counters))
 
 
 # ----------------------------------------------------------------------

@@ -138,6 +138,10 @@ register_tracepoint(
     "one kswapd reclaim pass completed",
 )
 register_tracepoint(
+    "reclaim.backoff", ("node", "failures"),
+    "kswapd parked on a hopeless node until a page is freed",
+)
+register_tracepoint(
     "migrate.sync", ("vpn", "src_tier", "dst_tier", "success", "reason", "retries"),
     "a stock synchronous migration finished (success or failure); vpn is "
     "the frame's first mapping (-1 if unmapped), for tenant attribution",

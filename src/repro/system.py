@@ -226,6 +226,9 @@ class Machine:
             raise RuntimeError("policy already installed")
         self.policy = policy
         policy.install()
+        # A node the last policy could not reclaim may be reclaimable now.
+        for daemon in self.kswapd:
+            daemon.forget_failures()
 
     def clear_policy(self) -> None:
         """Uninstall the current policy so another can be installed.

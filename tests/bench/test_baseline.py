@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench import baseline as bl
 from repro.bench.sweep import SweepSpec
+from repro.obs.export import counter_digest
 
 REPO = Path(__file__).resolve().parents[2]
 BASELINE_PATH = REPO / "benchmarks" / "baselines" / "quick.json"
@@ -91,6 +92,24 @@ def test_compare_flags_counter_digest_drift(tiny_report):
     errors, _ = bl.compare_bench(tiny_report, fresh)
     assert len(errors) == 1
     assert "counter digest drifted" in errors[0]
+
+
+def test_counter_digest_drift_names_the_changed_counter(tiny_report):
+    fresh = copy.deepcopy(tiny_report)
+    job = fresh["jobs"][0]
+    name, old = sorted(job["counters"].items())[0]
+    job["counters"][name] = old + 1.0
+    job["counter_digest"] = counter_digest(job["counters"])
+    errors, _ = bl.compare_bench(tiny_report, fresh)
+    assert len(errors) == 1
+    assert "counter digest drifted" in errors[0]
+    assert f"(changed counters: {name} {old:g} -> {old + 1.0:g})" in errors[0]
+
+
+def test_counter_drift_names_added_and_removed_counters():
+    drift = bl.counter_drift({"a": 1.0, "b": 2.0}, {"b": 3.0, "c": 4.0})
+    assert drift == "(changed counters: a 1 -> 0, b 2 -> 3, c 0 -> 4)"
+    assert "regenerate the baseline" in bl.counter_drift(None, {"a": 1.0})
 
 
 def test_compare_flags_failed_and_missing_jobs(tiny_report):

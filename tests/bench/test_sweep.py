@@ -12,6 +12,7 @@ from repro.bench.sweep import (
     run_sweep,
     timing_table,
 )
+from repro.obs.export import counter_digest
 
 # A >=8-job grid small enough to run twice in a test.
 GRID = SweepSpec(
@@ -154,6 +155,9 @@ def test_cell_record_contents():
     assert record["status"] == "ok"
     assert record["sim_cycles"] > 0
     assert len(record["counter_digest"]) == 64
+    # The record carries the nonzero counters its digest is taken over.
+    assert counter_digest(record["counters"]) == record["counter_digest"]
+    assert all(record["counters"].values())
     assert set(record["metrics"]) >= {
         "transient_gbps", "stable_gbps", "overall_gbps", "avg_access_cycles",
     }

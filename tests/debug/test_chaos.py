@@ -72,6 +72,16 @@ def test_run_check_job_produces_clean_record():
     json.dumps(record)  # must stay JSON-safe for the CI artifact
 
 
+def test_kswapd_profile_parks_and_rearms_under_jitter():
+    jobs = expand_profile("kswapd", check_interval=5_000_000.0)
+    assert {j.policy for j in jobs} == {"nomad", "no-migration"}
+    nomad = next(j for j in jobs if j.policy == "nomad")
+    record = run_check_job(nomad)
+    assert record["status"] == "ok"
+    assert record["counters"]["kswapd.backoffs"] > 0
+    assert record["counters"]["kswapd.rearms"] > 0
+
+
 def test_run_check_job_records_failures_instead_of_raising():
     record = run_check_job(CheckJob(scenario="not-a-scenario"))
     assert record["status"] == "failed"

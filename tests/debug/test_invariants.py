@@ -12,6 +12,7 @@ from repro.debug.invariants import (
     InvariantViolationError,
     register_invariant,
 )
+from repro.kernel.reclaim import MAX_RECLAIM_RETRIES
 from repro.mem.frame import FrameFlags
 from repro.mem.tiers import FAST_TIER
 from repro.mmu.pte import PTE_SOFT_SHADOW_RW, PTE_WRITE
@@ -27,6 +28,7 @@ EXPECTED_CHECKS = {
     "mem.accounting",
     "tier.accounting",
     "queue.consistency",
+    "kswapd.backoff",
 }
 
 
@@ -290,3 +292,36 @@ def test_queue_consistency_catches_exhausted_live_entry():
     mpq._members[id(frame)] = req
     found = details(machine, "queue.consistency")
     assert any("attempts" in d for d in found)
+
+
+# ----------------------------------------------------------------------
+# kswapd.backoff
+# ----------------------------------------------------------------------
+def parked_kswapd():
+    """A no-migration machine whose fast-tier kswapd went hopeless."""
+    machine = make_machine()
+    machine.set_policy(make_policy("no-migration", machine))
+    populated(machine, pages=machine.tiers.fast.nr_pages)
+    machine.engine.run(until=50_000_000)
+    daemon = machine.kswapd[FAST_TIER]
+    assert daemon.parked_at is not None
+    return machine, daemon
+
+
+def test_kswapd_backoff_parked_daemon_passes():
+    machine, _ = parked_kswapd()
+    assert details(machine, "kswapd.backoff") == []
+
+
+def test_kswapd_backoff_catches_wrong_failure_count():
+    machine, daemon = parked_kswapd()
+    daemon.failures = MAX_RECLAIM_RETRIES - 1
+    found = details(machine, "kswapd.backoff")
+    assert any("parked with" in d for d in found)
+
+
+def test_kswapd_backoff_catches_snapshot_from_the_future():
+    machine, daemon = parked_kswapd()
+    daemon.parked_at = (daemon.parked_at[0] + 1,) + daemon.parked_at[1:]
+    found = details(machine, "kswapd.backoff")
+    assert any("exceeds its count" in d for d in found)

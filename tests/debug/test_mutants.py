@@ -10,6 +10,7 @@ on correct code *and* on broken code is measuring nothing.
 from repro import Machine, MachineConfig
 from repro.core.shadow import ShadowIndex
 from repro.debug import DebugConfig
+from repro.kernel.reclaim import Kswapd
 from repro.mem.node import MemoryNode
 from repro.policies import make_policy
 from repro.workloads import ZipfianMicrobench
@@ -100,4 +101,31 @@ def test_forgotten_shadowed_flag_clear_is_caught(monkeypatch):
     machine = chaos_run()
     assert any(
         "orphaned SHADOWED" in v.detail for v in machine.debug.violations
+    )
+
+
+def test_hopeless_kswapd_parks_cleanly():
+    # No migration on an overcommitted fast tier: kswapd can never free
+    # anything, so it goes hopeless and parks on its wakeup event.
+    machine = chaos_run(policy="no-migration")
+    assert machine.stats.counters["kswapd.backoffs"] >= 1
+    assert machine.debug.violations == []
+
+
+def test_hopeless_kswapd_keeping_its_timer_is_caught(monkeypatch):
+    # The bug: the daemon declares the node hopeless but still sleeps on
+    # the old 500k-cycle retry timer, so it keeps scanning a node it
+    # claims to have given up on.
+    real_park = Kswapd._park
+
+    def buggy_park(self):
+        real_park(self)
+        return 500_000.0
+
+    monkeypatch.setattr(Kswapd, "_park", buggy_park)
+    machine = chaos_run(policy="no-migration")
+    assert "kswapd.backoff" in checks_hit(machine)
+    assert any(
+        "not waiting on its wakeup event" in v.detail
+        for v in machine.debug.violations
     )
