@@ -5,12 +5,15 @@ virtual page numbers plus a write mask). The engine executes each chunk
 against the page table:
 
 * accesses through valid, sufficiently-permissive PTEs are executed
-  vectorized -- latency is priced per access by the tier of the backing
-  frame, accessed/dirty bits are set, and every store is timestamped
-  (the observation channel for TPM's dirty-during-copy race);
+  as clean runs -- latency is priced per access by the tier of the
+  backing frame, accessed/dirty bits are set, and every store is
+  timestamped (the observation channel for TPM's dirty-during-copy
+  race). A run of at most ``SCALAR_RUN_MAX`` accesses commits access by
+  access in Python, a longer one vectorized; both give the same bits;
 * the first access that needs the kernel (not-present, prot-none hint,
-  or write-protect) stops the vector scan, takes a simulated trap, and
-  is dispatched to the fault handler, after which the scan resumes.
+  or write-protect) ends the run, takes a simulated trap, and is
+  dispatched to the fault handler, classified from the flags word the
+  scan already gathered; the next scan starts at the retried access.
 
 Interleaving note (documented in DESIGN.md): a chunk executes atomically
 from the event engine's perspective, so background daemons observe page
@@ -47,14 +50,25 @@ __all__ = ["AccessEngine", "ChunkResult"]
 
 _MAX_FAULT_RETRIES = 8
 
+# Clean runs of at most this many accesses commit access by access with
+# scalar page-table updates; longer runs take the vectorized commit. In
+# fault-dense chunks most runs between two faults are a few accesses,
+# and on arrays that small each of the vectorized commit's numpy calls
+# costs more than a whole scalar access. Measured per run length, the
+# scalar commit stops being cheaper between 24 and 28 accesses.
+SCALAR_RUN_MAX = 24
+
 # Hoisted uint32 constants: building np.uint32 per segment costs more
 # than the bitwise op itself on short fault-split segments.
 _PRESENT_OR_PROT_NONE = np.uint32(PTE_PRESENT | PTE_PROT_NONE)
 _PRESENT = np.uint32(PTE_PRESENT)
 _WRITE = np.uint32(PTE_WRITE)
+_STORE_BITS = np.uint32(PTE_PRESENT | PTE_PROT_NONE | PTE_WRITE)
+_PRESENT_WRITE = np.uint32(PTE_PRESENT | PTE_WRITE)
 _HUGE = np.uint32(PTE_HUGE)
 _ACCESSED = np.uint32(PTE_ACCESSED)
 _DIRTY = np.uint32(PTE_DIRTY)
+_ACCESSED_DIRTY = PTE_ACCESSED | PTE_DIRTY
 
 
 @dataclass
@@ -66,8 +80,11 @@ class ChunkResult:
     write_cycles: float
     faults: int
     fault_cycles: float
-    # Per-access latency histogram (repro.sim.stats.LATENCY_BIN_EDGES);
-    # a faulting access is recorded at its full fault-inclusive latency.
+    # Per-access latency histogram (repro.sim.stats.LATENCY_BIN_EDGES).
+    # Every executed access is one sample at its tier latency, and every
+    # fault is one more sample at its service cycles: a faulting access
+    # contributes the fault, then its retry at tier latency, so the
+    # histogram holds accesses + faults samples.
     latency_hist: Optional[np.ndarray] = None
 
 
@@ -76,11 +93,35 @@ class AccessEngine:
 
     def __init__(self, machine) -> None:
         self.machine = machine
+        costs = machine.costs
+        # Both commits sum latencies in different orders (the scalar one
+        # sequentially, numpy pairwise); the sums only agree bit for bit
+        # because whole-cycle values add exactly.
+        for tier, node in enumerate(machine.tiers.nodes):
+            for kind, lat in (
+                ("read", costs.read_latency[tier]),
+                ("write", costs.write_latency[tier]),
+            ):
+                if not float(lat).is_integer():
+                    raise ValueError(
+                        f"tier {node.name!r}: {kind} latency {lat} is not a "
+                        f"whole number of cycles"
+                    )
         # Per-tier latency vectors, hoisted out of run_chunk: the cost
         # model is frozen, so converting its tuples on every chunk was
         # pure overhead. Shared with the batched fast path.
-        self.rlat = np.asarray(machine.costs.read_latency)
-        self.wlat = np.asarray(machine.costs.write_latency)
+        self.rlat = np.asarray(costs.read_latency)
+        self.wlat = np.asarray(costs.write_latency)
+        # Scalar twins for the per-access commit: latency and histogram
+        # bin per tier.
+        self._rlat_list = [float(x) for x in costs.read_latency]
+        self._wlat_list = [float(x) for x in costs.write_latency]
+        self._rbin_list = [
+            bisect_right(_LATENCY_EDGES_LIST, x) for x in self._rlat_list
+        ]
+        self._wbin_list = [
+            bisect_right(_LATENCY_EDGES_LIST, x) for x in self._wlat_list
+        ]
 
     # ------------------------------------------------------------------
     def run_chunk(
@@ -117,63 +158,137 @@ class AccessEngine:
         pt_flags = pt.flags
         pt_gpfn = pt.gpfn
         has_writes = bool(writes.any())
+        # Per access, the flag bits a scan tests and the value they must
+        # have (a store also needs PTE_WRITE), so that a scan of a mixed
+        # chunk is one masked compare. Built at the chunk's first fault:
+        # a clean chunk is scanned once and never needs them.
+        need = None
         check_huge = m.folio_pages > 1
+        folio_mask = ~(m.folio_pages - 1)
         publish_chunks = m.bus.has_subscribers(ChunkExecuted)
-        note_chunk = m.tlb_directory.note_chunk
-        asid = space.asid
-        cpu_name = cpu.name
+        last_access = pt.last_access
+        last_write = pt.last_write
+        # Sized to the whole address space, so it is never reallocated
+        # under the commits below.
+        tlb_mask = m.tlb_directory.page_mask(space.asid, cpu.name, pt.nr_vpns)
+        # Scalar accessors for the per-access commit.
+        flags_at = pt_flags.item
+        gpfn_at = pt_gpfn.item
+        tier_at = tier_of.item
+        last_access_at = last_access.item
+        last_write_at = last_write.item
+        rlat_list = self._rlat_list
+        wlat_list = self._wlat_list
+        rbin_list = self._rbin_list
+        wbin_list = self._wbin_list
+        # Python copies of the chunk, and the scalar commit's histogram
+        # counts, built at the first short run so a clean chunk pays
+        # nothing for them.
+        vpn_list = None
         while pos < n:
             seg_vpns = vpns[pos:]
             seg_w = writes[pos:]
             f = pt_flags[seg_vpns]
-            # bad = not-present | prot-none | (write & !writable); the
-            # first two collapse into one masked compare.
-            bad = (f & _PRESENT_OR_PROT_NONE) != _PRESENT
-            if has_writes:
-                bad |= seg_w & ((f & _WRITE) == 0)
-            idx = int(bad.argmax())
-            k = idx if bad[idx] else len(seg_vpns)
+            # bad = not-present | prot-none | (write & !writable).
+            if need is not None:
+                bad = (f & need[pos:]) != want[pos:]
+            else:
+                bad = (f & _PRESENT_OR_PROT_NONE) != _PRESENT
+                if has_writes:
+                    bad |= seg_w & ((f & _WRITE) == 0)
+            k = int(bad.argmax())
+            faulted = bool(bad[k])
+            if not faulted:
+                k = len(seg_vpns)
 
             if k > 0:
-                seg = seg_vpns[:k]
-                g = pt_gpfn[seg]
-                t = tier_of[g]
-                if has_writes:
-                    w = seg_w[:k]
-                    lat = np.where(w, wlat[t], rlat[t])
+                epoch = pt.version
+                if k <= SCALAR_RUN_MAX:
+                    if vpn_list is None:
+                        vpn_list = vpns.tolist()
+                        write_list = writes.tolist()
+                        counts = [0] * NR_LATENCY_BINS
+                    base = t0 + elapsed
+                    # Sequential running sum: the same additions, in the
+                    # same order, as np.cumsum in the vectorized commit.
+                    seg_cycles = 0.0
+                    wc = 0.0
+                    nw = 0
+                    ts_list = [] if publish_chunks else None
+                    for i in range(pos, pos + k):
+                        v = vpn_list[i]
+                        tier = tier_at(gpfn_at(v))
+                        old = flags_at(v)
+                        if write_list[i]:
+                            lat = wlat_list[tier]
+                            seg_cycles += lat
+                            ts = base + seg_cycles
+                            wc += lat
+                            nw += 1
+                            pt_flags[v] = old | _ACCESSED_DIRTY
+                            if ts > last_write_at(v):
+                                last_write[v] = ts
+                            counts[wbin_list[tier]] += 1
+                        else:
+                            lat = rlat_list[tier]
+                            seg_cycles += lat
+                            ts = base + seg_cycles
+                            pt_flags[v] = old | PTE_ACCESSED
+                            counts[rbin_list[tier]] += 1
+                        if ts > last_access_at(v):
+                            last_access[v] = ts
+                        # A huge mapping's TLB entry is keyed by its
+                        # folio head (see the vectorized commit).
+                        tlb_mask[v & folio_mask if old & PTE_HUGE else v] = True
+                        if ts_list is not None:
+                            ts_list.append(ts)
+                    if publish_chunks:
+                        m.bus.publish(
+                            ChunkExecuted(
+                                space,
+                                seg_vpns[:k],
+                                seg_w[:k],
+                                np.array(ts_list),
+                            )
+                        )
                 else:
-                    lat = rlat[t]
-                ts = t0 + elapsed + np.cumsum(lat)
-                # Architectural bit updates (idempotent OR is safe with
-                # duplicate indices under fancy indexing).
-                pt_flags[seg] |= _ACCESSED
-                nw = 0
-                if has_writes:
-                    wr = seg[w]
-                    nw = len(wr)
-                    if nw:
-                        pt_flags[wr] |= _DIRTY
-                        np.maximum.at(pt.last_write, wr, ts[w])
-                np.maximum.at(pt.last_access, seg, ts)
-                # TLB entries are per translation: base pages fill one
-                # entry per vpn, huge mappings one PMD entry keyed by the
-                # folio head vpn (so a single shootdown at the head
-                # invalidates the whole 2MB translation).
-                if check_huge:
-                    huge = (f[:k] & _HUGE) != 0
-                    if huge.any():
-                        mask = np.int64(~(m.folio_pages - 1))
-                        noted = np.where(huge, seg & mask, seg)
-                        note_chunk(cpu_name, asid, noted)
+                    seg = seg_vpns[:k]
+                    g = pt_gpfn[seg]
+                    t = tier_of[g]
+                    if has_writes:
+                        w = seg_w[:k]
+                        lat = np.where(w, wlat[t], rlat[t])
                     else:
-                        note_chunk(cpu_name, asid, seg)
-                else:
-                    note_chunk(cpu_name, asid, seg)
-                if publish_chunks:
-                    m.bus.publish(ChunkExecuted(space, seg, seg_w[:k], ts))
-                hist += latency_histogram(lat)
-                seg_cycles = float(lat.sum())
-                wc = float(lat[w].sum()) if nw else 0.0
+                        lat = rlat[t]
+                    ts = t0 + elapsed + np.cumsum(lat)
+                    # Architectural bit updates (idempotent OR is safe
+                    # with duplicate indices under fancy indexing).
+                    pt_flags[seg] |= _ACCESSED
+                    nw = 0
+                    if has_writes:
+                        wr = seg[w]
+                        nw = len(wr)
+                        if nw:
+                            pt_flags[wr] |= _DIRTY
+                            np.maximum.at(last_write, wr, ts[w])
+                    np.maximum.at(last_access, seg, ts)
+                    # TLB entries are per translation: base pages fill
+                    # one entry per vpn, huge mappings one PMD entry
+                    # keyed by the folio head vpn (so a single shootdown
+                    # at the head invalidates the whole 2MB translation).
+                    if check_huge:
+                        huge = (f[:k] & _HUGE) != 0
+                        if huge.any():
+                            tlb_mask[np.where(huge, seg & folio_mask, seg)] = True
+                        else:
+                            tlb_mask[seg] = True
+                    else:
+                        tlb_mask[seg] = True
+                    if publish_chunks:
+                        m.bus.publish(ChunkExecuted(space, seg, seg_w[:k], ts))
+                    hist += latency_histogram(lat)
+                    seg_cycles = float(lat.sum())
+                    wc = float(lat[w].sum()) if nw else 0.0
                 write_cycles += wc
                 read_cycles += seg_cycles - wc
                 nwrites += nw
@@ -181,23 +296,38 @@ class AccessEngine:
                 elapsed += seg_cycles
                 pos += k
                 retries = 0
-                continue
+                if not faulted:
+                    break
+                if pt.version != epoch:
+                    # A ChunkExecuted subscriber remapped a page: the
+                    # flags word gathered above may be stale.
+                    continue
 
-            # Fault at position `pos`.
-            vpn = int(seg_vpns[0])
-            write = bool(seg_w[0])
+            if has_writes and need is None:
+                need = np.where(writes, _STORE_BITS, _PRESENT_OR_PROT_NONE)
+                want = np.where(writes, _PRESENT_WRITE, _PRESENT)
+            # Fault at position `pos`, classified from the flags word
+            # the scan already gathered.
+            flags = int(f[k])
+            if not flags & PTE_PRESENT:
+                kind = FaultType.NOT_PRESENT
+            elif flags & PTE_PROT_NONE:
+                kind = FaultType.HINT
+            else:
+                kind = FaultType.WRITE_PROTECT
+            vpn = int(seg_vpns[k])
+            write = bool(seg_w[k])
+            fault = Fault(space, vpn, write, kind, cpu.name)
             if vpn == last_fault_vpn:
                 retries += 1
                 if retries > _MAX_FAULT_RETRIES:
                     raise UnhandledFault(
-                        Fault(space, vpn, write, self._classify(pt, vpn), cpu.name),
+                        fault,
                         f"fault handler made no progress after {retries} tries",
                     )
             else:
                 retries = 0
                 last_fault_vpn = vpn
-            kind = self._classify(pt, vpn)
-            fault = Fault(space, vpn, write, kind, cpu.name)
             handled_cycles = m.handle_fault(fault, cpu)
             # Debug jitter: a PTE update in the fault path took longer
             # (contended page-table lock, slow IPI acknowledge...).
@@ -210,6 +340,8 @@ class AccessEngine:
             elapsed += handled_cycles
             hist[bisect_right(_LATENCY_EDGES_LIST, handled_cycles)] += 1
 
+        if vpn_list is not None:
+            hist += counts
         cpu.account("user", read_cycles + write_cycles)
         return ChunkResult(
             cycles=elapsed,
@@ -234,12 +366,3 @@ class AccessEngine:
         vpns = np.array([vpn], dtype=np.int64)
         writes = np.array([write], dtype=bool)
         return self.run_chunk(space, cpu, vpns, writes)
-
-    @staticmethod
-    def _classify(pt, vpn: int) -> FaultType:
-        flags = int(pt.flags[vpn])
-        if not flags & PTE_PRESENT:
-            return FaultType.NOT_PRESENT
-        if flags & PTE_PROT_NONE:
-            return FaultType.HINT
-        return FaultType.WRITE_PROTECT

@@ -69,18 +69,24 @@ class TlbDirectory:
         self.shootdowns = 0
         self.ipis_sent = 0
 
-    def _mask(self, asid: int, cpu_name: str, min_size: int) -> np.ndarray:
+    def page_mask(self, asid: int, cpu_name: str, nr_pages: int) -> np.ndarray:
+        """The (asid, cpu) page mask, covering at least ``nr_pages`` pages.
+
+        The access path asks with its address space's size, so the mask
+        is sized once and stays the same array while it sets bits in it:
+        no later note can need a bigger one.
+        """
         cpus = self._masks.setdefault(asid, {})
         mask = cpus.get(cpu_name)
-        if mask is None or len(mask) < min_size:
-            grown = np.zeros(max(min_size, 1024), dtype=bool)
+        if mask is None or len(mask) < nr_pages:
+            grown = np.zeros(max(nr_pages, 1024), dtype=bool)
             if mask is not None:
                 grown[: len(mask)] = mask
             cpus[cpu_name] = mask = grown
         return mask
 
     def note_access(self, cpu_name: str, asid: int, vpn: int) -> None:
-        self._mask(asid, cpu_name, vpn + 1)[vpn] = True
+        self.page_mask(asid, cpu_name, vpn + 1)[vpn] = True
 
     def note_chunk(self, cpu_name: str, asid: int, vpns) -> None:
         """Bulk version used by the vectorized access path.
@@ -89,7 +95,7 @@ class TlbDirectory:
         """
         if len(vpns) == 0:
             return
-        self._mask(asid, cpu_name, int(vpns.max()) + 1)[vpns] = True
+        self.page_mask(asid, cpu_name, int(vpns.max()) + 1)[vpns] = True
 
     def holders(self, asid: int, vpn: int) -> Set[str]:
         return {

@@ -10,7 +10,6 @@ Every quantity the paper reports is derived from the data collected here:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -33,12 +32,6 @@ _LATENCY_EDGES_LIST = LATENCY_BIN_EDGES.tolist()
 
 def latency_histogram(latencies: np.ndarray) -> np.ndarray:
     """Bucket an array of per-access latencies (cycles)."""
-    if len(latencies) == 1:
-        # The fault path buckets one latency at a time; bisect gives the
-        # same bin as searchsorted side="right" without ufunc dispatch.
-        counts = np.zeros(NR_LATENCY_BINS, dtype=np.int64)
-        counts[bisect_right(_LATENCY_EDGES_LIST, float(latencies[0]))] = 1
-        return counts
     return bucket_values(LATENCY_BIN_EDGES, latencies)
 
 
@@ -63,8 +56,9 @@ class WindowSample:
     read_cycles: float
     write_cycles: float
     # Optional per-access latency histogram for this window (bucketed by
-    # LATENCY_BIN_EDGES); faults count as the latency of the access that
-    # took them.
+    # LATENCY_BIN_EDGES): one sample per executed access at its tier
+    # latency, plus one per fault at its service cycles (the faulting
+    # access is retried and counted again at tier latency).
     latency_hist: Optional[np.ndarray] = None
 
     @property

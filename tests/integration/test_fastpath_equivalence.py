@@ -7,16 +7,23 @@ three angles: hypothesis-driven random traces across every policy, a
 deterministic streaming run that must engage the vectorized batch
 commit, and the THP arm where huge-folio mappings flow through the
 validation masks.
+
+The slow path itself commits a clean run in one of two ways, access by
+access for runs of at most ``SCALAR_RUN_MAX`` accesses and vectorized
+for longer ones. The last arm pins those two against each other.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Machine, MachineConfig
 from repro.bench.sweep import counter_digest
+from repro.mmu import access as access_mod
+from repro.mmu.pte import PTE_HUGE
 from repro.policies import make_policy
 
 from ..conftest import tiny_platform
@@ -30,7 +37,13 @@ def _run_trace(policy, nr_pages, fast_fraction, trace, fastpath, chunk=32):
     machine.set_policy(make_policy(policy, machine))
     workload = RandomTraceWorkload(nr_pages, fast_fraction, trace)
     report = machine.run_workload(workload)
-    pt = workload.space.page_table
+    return _snapshot(machine, report, workload.space)
+
+
+def _snapshot(machine, report, space):
+    """Every simulated quantity we pin, read off a finished run."""
+    pt = space.page_table
+    tlb = machine.tlb_directory
     return {
         "cycles": report.cycles,
         "digest": counter_digest(report.counters),
@@ -41,6 +54,13 @@ def _run_trace(policy, nr_pages, fast_fraction, trace, fastpath, chunk=32):
         "gpfn": pt.gpfn.copy(),
         "last_access": pt.last_access.copy(),
         "last_write": pt.last_write.copy(),
+        "tlb": [
+            sorted(tlb.holders(space.asid, vpn))
+            for vpn in range(space.vmas[-1].end)
+        ],
+        "window_hists": np.array(
+            [w.latency_hist for w in machine.stats.windows]
+        ),
     }
 
 
@@ -136,3 +156,93 @@ def test_repro_fastpath_env_knob(monkeypatch):
     # An explicit constructor argument beats the environment.
     monkeypatch.setenv("REPRO_FASTPATH", "0")
     assert MachineConfig(fastpath_enabled=True).fastpath_enabled is True
+
+
+# -- scalar vs vectorized run commit -----------------------------------------
+
+
+def _commit_arms(run):
+    """``run()`` with every clean run committed vectorized, then with
+    every one committed access by access (fast path off in both, so
+    every chunk goes through ``AccessEngine.run_chunk``)."""
+    arms = []
+    for limit in (0, 1 << 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(access_mod, "SCALAR_RUN_MAX", limit)
+            arms.append(run())
+    return arms
+
+
+def _assert_commits_identical(vector, scalar):
+    _assert_identical(vector, scalar)
+    assert vector["tlb"] == scalar["tlb"]
+    assert vector.get("published") == scalar.get("published")
+    np.testing.assert_array_equal(
+        vector["window_hists"], scalar["window_hists"]
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    policy=st.sampled_from(["no-migration", "tpp", "memtis-default", "nomad"]),
+    nr_pages=st.integers(min_value=4, max_value=500),
+    fast_fraction=st.floats(min_value=0.0, max_value=1.0),
+    trace=trace_strategy,
+    chunk=st.sampled_from([8, 32, 100]),
+)
+def test_scalar_commit_matches_vectorized(
+    policy, nr_pages, fast_fraction, trace, chunk
+):
+    """Property: committing a clean run access by access or in one
+    vectorized pass leaves identical runs, TLB masks and histograms."""
+    vector, scalar = _commit_arms(
+        lambda: _run_trace(policy, nr_pages, fast_fraction, trace, False, chunk)
+    )
+    _assert_commits_identical(vector, scalar)
+
+
+def _zipf_arms(policy, config, thp):
+    """Both commit arms of a 20k-access Zipfian run on platform A, with
+    every ChunkExecuted payload recorded."""
+    from repro.bench.runner import build_machine
+    from repro.sim.bus import ChunkExecuted
+    from repro.workloads import ZipfianMicrobench
+
+    def run():
+        machine = build_machine(
+            "A", policy, config=dataclasses.replace(config, fastpath_enabled=False)
+        )
+        published = []
+        machine.bus.subscribe(
+            ChunkExecuted,
+            lambda e: published.append(
+                (e.vpns.tolist(), e.writes.tolist(), e.completion_ts.tolist())
+            ),
+        )
+        workload = ZipfianMicrobench.scenario(
+            "small", write_ratio=0.5, total_accesses=20_000, seed=7, thp=thp
+        )
+        report = machine.run_workload(workload)
+        snap = _snapshot(machine, report, workload.space)
+        snap["published"] = published
+        return snap
+
+    return _commit_arms(run)
+
+
+def test_scalar_commit_matches_vectorized_with_thp():
+    """Huge PTEs: the scalar commit notes the TLB entry at the folio
+    head, as the vectorized one does."""
+    from repro.bench.experiments.thp import thp_config
+
+    vector, scalar = _zipf_arms("tpp", thp_config(True), thp=True)
+    assert (vector["flags"] & PTE_HUGE).any()
+    _assert_commits_identical(vector, scalar)
+
+
+def test_scalar_commit_matches_vectorized_for_memtis():
+    """Memtis samples from ChunkExecuted: the scalar commit publishes
+    the same segments with the same completion timestamps."""
+    vector, scalar = _zipf_arms("memtis-default", MachineConfig(), thp=False)
+    assert vector["counters"].get("memtis.samples", 0) > 0
+    _assert_commits_identical(vector, scalar)

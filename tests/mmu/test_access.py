@@ -227,3 +227,67 @@ def test_tlb_directory_tracks_accessing_cpu():
     m.populate(space, [vma.start], FAST_TIER)
     run_chunk(m, space, [vma.start])
     assert m.tlb_directory.holders(space.asid, vma.start) == {"app0"}
+
+
+@pytest.mark.parametrize("scalar_run_max", [0, 1 << 30])
+def test_latency_hist_holds_accesses_plus_faults(monkeypatch, scalar_run_max):
+    """A fault is one histogram sample at its service cycles and the
+    retried access another at tier latency, in both run commits."""
+    from repro.mmu import access
+
+    monkeypatch.setattr(access, "SCALAR_RUN_MAX", scalar_run_max)
+    m = make_machine()
+    space = m.create_space()
+    vma = space.mmap(8)
+    m.populate(space, [vma.start, vma.start + 1], FAST_TIER)
+    vpns = [vma.start, vma.start + 1] * 20 + list(vma.vpns())
+    result = run_chunk(m, space, vpns, [i % 3 == 0 for i in range(len(vpns))])
+    assert result.faults == 6
+    assert result.reads + result.writes == len(vpns)
+    assert result.latency_hist.sum() == len(vpns) + result.faults
+
+
+def test_fractional_tier_latency_rejected():
+    """Both run commits rely on whole-cycle latencies adding exactly."""
+    from repro import Machine
+    from repro.sim.platform import Platform
+
+    platform = Platform(
+        name="F",
+        description="fractional latency",
+        freq_ghz=2.0,
+        cpu_count=4,
+        read_latency_cycles=(300.0, 900.5),
+        read_gbps=(12.0, 4.0),
+        write_gbps=(20.0, 20.0),
+        fast_gb=1.0,
+        slow_gb=1.0,
+    )
+    name = platform.tier_topology().tiers[1].name
+    with pytest.raises(ValueError, match=f"tier '{name}'.*whole number of cycles"):
+        Machine(platform)
+
+
+def test_store_after_a_fault_still_checks_write_permission():
+    """Scans after a chunk's first fault test a store's PTE_WRITE too."""
+    m = make_machine()
+    seen = []
+
+    class WpFix(TieringPolicy):
+        name = "wpfix"
+
+        def handle_wp_fault(self, fault, cpu):
+            seen.append(fault.vpn)
+            fault.space.page_table.set_flags(fault.vpn, PTE_WRITE)
+            return 5.0
+
+    m.set_policy(WpFix(m))
+    space = m.create_space()
+    vma = space.mmap(3)
+    m.populate(space, [vma.start + 1], FAST_TIER, writable=False)
+    m.populate(space, [vma.start + 2], FAST_TIER)
+    vpns = [vma.start + 2, vma.start, vma.start + 2, vma.start + 1]
+    result = run_chunk(m, space, vpns, [True, False, True, True])
+    assert seen == [vma.start + 1]
+    assert result.faults == 2
+    assert result.writes == 3
