@@ -17,9 +17,20 @@ host affects both sides alike.
 For every metric the benchmark reports, the summary gives each side's
 median and quartiles, the B/A ratio of the medians, and the share of
 pairs B won (by the metric's ``better`` direction in B's
-``BENCHMARK.json``; ties count for neither side). It also says whether
-the simulated metrics (``sim_*``) and the counter digest matched between
-the two sides of every pair. Nothing under ``perfbench/`` is modified.
+``BENCHMARK.json``; ties count for neither side). Each metric with a
+``bound`` (the end-to-end ones) also gets a verdict, the first that
+applies of:
+
+* ``worse``: B's median is worse than A's by more than the bound;
+* ``unresolved``: A's quartile distance exceeds the bound (relative to
+  A's median) and not every B run beats every A run;
+* ``gain``: B won at least 9 in 10 pairs and its median beats A's by
+  more than A's quartile distance;
+* ``ok``: none of these.
+
+It also says whether the simulated metrics (``sim_*``) and the counter
+digest matched between the two sides of every pair. Nothing under
+``perfbench/`` is modified.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import sys
 import tempfile
 from pathlib import Path
 from statistics import median, quantiles
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 SIDES = ("A", "B")
 
@@ -95,14 +106,40 @@ def quartiles(values: List[float]) -> Tuple[float, float]:
     return q1, q3
 
 
+def verdict(
+    a: List[float], b: List[float], sign: float, bound: Optional[float]
+) -> str:
+    """The module docstring's verdict on one metric; ``sign`` is +1 when
+    higher is better, -1 when lower is, and ``bound`` is relative."""
+    if bound is None:
+        return "-"
+    med_a = median(a)
+    a1, a3 = quartiles(a)
+    spread = a3 - a1
+    gain = sign * (median(b) - med_a)
+    if gain < -bound * abs(med_a):
+        return "worse"
+    if spread > bound * abs(med_a) and not all(
+        sign * (y - x) > 0 for x in a for y in b
+    ):
+        return "unresolved"
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    if 10 * wins >= 9 * len(a) and gain > spread:
+        return "gain"
+    return "ok"
+
+
 def summarize(
-    pairs: List[Dict[str, Dict]], better: Dict[str, str]
+    pairs: List[Dict[str, Dict]], declared: Dict[str, Dict]
 ) -> List[List[str]]:
+    """One table row per metric; ``declared`` maps metric names to their
+    ``BENCHMARK.json`` entries (``better``, and ``bound`` if any)."""
     rows = []
     for name in pairs[0]["A"]["metrics"]:
         a = [p["A"]["metrics"][name] for p in pairs]
         b = [p["B"]["metrics"][name] for p in pairs]
-        sign = 1.0 if better.get(name, "higher") == "higher" else -1.0
+        spec = declared.get(name, {})
+        sign = 1.0 if spec.get("better", "higher") == "higher" else -1.0
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         med_a, med_b = median(a), median(b)
         (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
@@ -112,6 +149,7 @@ def summarize(
             f"{med_b:.6g} [{b1:.6g}, {b3:.6g}]",
             f"{med_b / med_a:.3f}" if med_a else "-",
             f"{wins}/{len(pairs)}",
+            verdict(a, b, sign, spec.get("bound")),
         ])
     return rows
 
@@ -145,8 +183,9 @@ def main(argv=None) -> int:
         for side in SIDES:
             export(repo, revs[side], checkouts[side])
         spec = json.loads((checkouts["B"] / "BENCHMARK.json").read_text())
-        declared = spec["per_layer" if args.trace else "end_to_end"]
-        better = {m["name"]: m["better"] for m in declared}
+        declared = {
+            m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]
+        }
 
         print(f"A = {args.rev_a} ({revs['A'][:12]}), "
               f"B = {args.rev_b} ({revs['B'][:12]})")
@@ -166,8 +205,9 @@ def main(argv=None) -> int:
 
     print()
     print_table(
-        ["metric", "A median [q1, q3]", "B median [q1, q3]", "B/A", "B won"],
-        summarize(pairs, better),
+        ["metric", "A median [q1, q3]", "B median [q1, q3]", "B/A", "B won",
+         "verdict"],
+        summarize(pairs, declared),
     )
     sim_names = [n for n in pairs[0]["A"]["metrics"] if n.startswith("sim_")]
     sim_same = sum(

@@ -612,12 +612,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser(
         "run",
         help="run one figure/table experiment",
-        epilog="Runs execute on the two-speed engine: batched fast-path "
-        "access execution with the event engine dropping in only on "
-        "faults. Results are bit-identical either way; set "
-        "REPRO_FASTPATH=0 (or MachineConfig(fastpath_enabled=False)) to "
-        "force the per-chunk slow path when bisecting a suspected "
-        "fast-path issue.",
+        epilog="Runs execute on the two-speed engine: runs of fault-free "
+        "chunks commit in one vectorized step, every other chunk runs "
+        "on the event-engine slow path. Results are bit-identical either "
+        "way; set REPRO_FASTPATH=0 (or MachineConfig(fastpath_enabled="
+        "False)) to force the per-chunk slow path when bisecting a "
+        "suspected fast-path issue.",
     )
     run_p.add_argument("experiment", help="e.g. fig7, tab3 (see `list`)")
     run_p.add_argument("--accesses", type=int, default=120_000)

@@ -122,6 +122,9 @@ class AccessEngine:
         self._wbin_list = [
             bisect_right(_LATENCY_EDGES_LIST, x) for x in self._wlat_list
         ]
+        # A huge mapping's TLB entry is keyed by its folio head vpn.
+        self._folio_pages = machine.folio_pages
+        self._folio_mask = ~(machine.folio_pages - 1)
 
     # ------------------------------------------------------------------
     def run_chunk(
@@ -163,8 +166,7 @@ class AccessEngine:
         # chunk is one masked compare. Built at the chunk's first fault:
         # a clean chunk is scanned once and never needs them.
         need = None
-        check_huge = m.folio_pages > 1
-        folio_mask = ~(m.folio_pages - 1)
+        folio_mask = self._folio_mask
         publish_chunks = m.bus.has_subscribers(ChunkExecuted)
         last_access = pt.last_access
         last_write = pt.last_write
@@ -238,7 +240,7 @@ class AccessEngine:
                         if ts > last_access_at(v):
                             last_access[v] = ts
                         # A huge mapping's TLB entry is keyed by its
-                        # folio head (see the vectorized commit).
+                        # folio head (see commit_run).
                         tlb_mask[v & folio_mask if old & PTE_HUGE else v] = True
                         if ts_list is not None:
                             ts_list.append(ts)
@@ -253,37 +255,11 @@ class AccessEngine:
                         )
                 else:
                     seg = seg_vpns[:k]
-                    g = pt_gpfn[seg]
-                    t = tier_of[g]
-                    if has_writes:
-                        w = seg_w[:k]
-                        lat = np.where(w, wlat[t], rlat[t])
-                    else:
-                        lat = rlat[t]
+                    t = tier_of[pt_gpfn[seg]]
+                    w = seg_w[:k] if has_writes else None
+                    lat = rlat[t] if w is None else np.where(w, wlat[t], rlat[t])
                     ts = t0 + elapsed + np.cumsum(lat)
-                    # Architectural bit updates (idempotent OR is safe
-                    # with duplicate indices under fancy indexing).
-                    pt_flags[seg] |= _ACCESSED
-                    nw = 0
-                    if has_writes:
-                        wr = seg[w]
-                        nw = len(wr)
-                        if nw:
-                            pt_flags[wr] |= _DIRTY
-                            np.maximum.at(last_write, wr, ts[w])
-                    np.maximum.at(last_access, seg, ts)
-                    # TLB entries are per translation: base pages fill
-                    # one entry per vpn, huge mappings one PMD entry
-                    # keyed by the folio head vpn (so a single shootdown
-                    # at the head invalidates the whole 2MB translation).
-                    if check_huge:
-                        huge = (f[:k] & _HUGE) != 0
-                        if huge.any():
-                            tlb_mask[np.where(huge, seg & folio_mask, seg)] = True
-                        else:
-                            tlb_mask[seg] = True
-                    else:
-                        tlb_mask[seg] = True
+                    nw = self.commit_run(pt, tlb_mask, seg, w, f[:k], ts)
                     if publish_chunks:
                         m.bus.publish(ChunkExecuted(space, seg, seg_w[:k], ts))
                     hist += latency_histogram(lat)
@@ -353,6 +329,47 @@ class AccessEngine:
             fault_cycles=fault_cycles,
             latency_hist=hist,
         )
+
+    # ------------------------------------------------------------------
+    def commit_run(
+        self,
+        pt,
+        tlb_mask: np.ndarray,
+        vpns: np.ndarray,
+        writes: Optional[np.ndarray],
+        flags: np.ndarray,
+        ts: np.ndarray,
+    ) -> int:
+        """Commit a run of accesses that need no kernel, vectorized.
+
+        ``flags`` holds the run's flags words as gathered by the scan,
+        ``writes`` its store mask (None for a run without stores) and
+        ``ts`` each access's completion timestamp. Sets the accessed and
+        dirty bits, raises ``last_access``/``last_write`` to ``ts`` and
+        marks each translation in ``tlb_mask``. Duplicate vpns are safe:
+        the ORs and ``maximum.at`` are idempotent and commutative.
+        Returns the number of stores.
+        """
+        pt_flags = pt.flags
+        pt_flags[vpns] |= _ACCESSED
+        nw = 0
+        if writes is not None:
+            wr = vpns[writes]
+            nw = len(wr)
+            if nw:
+                pt_flags[wr] |= _DIRTY
+                np.maximum.at(pt.last_write, wr, ts[writes])
+        np.maximum.at(pt.last_access, vpns, ts)
+        # TLB entries are per translation: base pages fill one entry per
+        # vpn, huge mappings one PMD entry keyed by the folio head vpn
+        # (so a single shootdown at the head invalidates the whole 2MB
+        # translation).
+        if self._folio_pages > 1:
+            huge = (flags & _HUGE) != 0
+            if huge.any():
+                vpns = np.where(huge, vpns & self._folio_mask, vpns)
+        tlb_mask[vpns] = True
+        return nw
 
     # ------------------------------------------------------------------
     def access_one(

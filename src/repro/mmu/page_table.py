@@ -46,11 +46,11 @@ class PageTable:
         self.last_access = np.full(nr_vpns, _NEVER, dtype=np.float64)
         # Structural-mutation epoch. Every operation that can change
         # which accesses would fault (mapping, unmapping, permission or
-        # hint bits, a gpfn move) bumps it; the batched fast path
-        # (repro.sim.fastpath) caches translation-derived state keyed by
-        # this counter and revalidates when it changes. The access
-        # path's own accessed/dirty ORs and timestamp stores do NOT bump
-        # it -- they never change fault-ness or page placement.
+        # hint bits, a gpfn move) bumps it; AccessEngine.run_chunk
+        # rescans a chunk when a ChunkExecuted subscriber changed it
+        # mid-chunk. The access path's own accessed/dirty ORs and
+        # timestamp stores do NOT bump it -- they never change
+        # fault-ness or page placement.
         self.version = 0
 
     # ------------------------------------------------------------------

@@ -88,15 +88,6 @@ class TlbDirectory:
     def note_access(self, cpu_name: str, asid: int, vpn: int) -> None:
         self.page_mask(asid, cpu_name, vpn + 1)[vpn] = True
 
-    def note_chunk(self, cpu_name: str, asid: int, vpns) -> None:
-        """Bulk version used by the vectorized access path.
-
-        ``vpns`` may contain duplicates; the mask store is idempotent.
-        """
-        if len(vpns) == 0:
-            return
-        self.page_mask(asid, cpu_name, int(vpns.max()) + 1)[vpns] = True
-
     def holders(self, asid: int, vpn: int) -> Set[str]:
         return {
             cpu

@@ -41,9 +41,9 @@ GAUGES: Dict[str, str] = {
     "nomad.shadow_pages": "live shadow pages",
     "engine.pending": "scheduled engine resumptions",
     "fastpath.fast_chunks": "access chunks executed on the vectorized fast path",
-    "fastpath.slow_chunks": "access chunks bounced to the event engine",
+    "fastpath.slow_chunks": "access chunks the fast path ran through run_chunk",
     "fastpath.vector_batches": "vectorized batches issued by the fast path",
-    "fastpath.revalidations": "fast-path translation revalidations",
+    "fastpath.revalidations": "fast-path validations that committed no chunk",
 }
 
 

@@ -16,8 +16,10 @@ per step) and bucketing by the process's name:
 Subsystem buckets are disjoint slices of the run loop, so their sum is
 <= total wall time by construction (the gap is the engine's own heap
 work plus anything outside ``Engine.run``). ``detail`` buckets
-(``app.slowpath``: event-engine fault handling inside a fast-path
-stream) nest *inside* subsystem time and are reported separately so the
+(``app.slowpath``: the chunks of a fast-path stream that run through
+``AccessEngine.run_chunk`` -- faulting chunks, chunks at an event
+horizon, every chunk while a ``ChunkExecuted`` subscriber is attached)
+nest *inside* subsystem time and are reported separately so the
 top-level sum stays a partition.
 
 The profiler touches no simulated state -- it reads the host clock and

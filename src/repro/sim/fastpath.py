@@ -1,36 +1,35 @@
-"""Two-speed access execution: batched fast path, event-engine slow path.
+"""Two-speed access execution: vectorized multi-chunk commits, slow path
+for everything else.
 
 The overwhelming majority of accesses in a tiering workload are plain
 TLB/PTE hits that change no tiering state; only faults, hint faults,
 shootdowns, and daemon passes interact with the rest of the machine.
-:class:`FastPathExecutor` exploits that: it looks ahead over the
-workload's chunk stream, validates a whole batch of chunks against the
-page table in one vectorized pass, and commits the non-faulting prefix
-chunk by chunk -- advancing the clock inline through
+:class:`FastPathExecutor` exploits that in one step: it peeks up to
+``WINDOW_MAX`` upcoming chunks of the workload's stream and validates
+them against the page table in one vectorized pass. When at least two
+leading, equal-length chunks are clean and end before the next queued
+event, it commits them all at once, moving the clock with one
 :meth:`repro.sim.engine.Engine.try_advance` instead of a heap
-round-trip per chunk. The first access that needs the kernel drops the
-enclosing chunk into the unmodified
-:class:`~repro.mmu.access.AccessEngine` slow path, after which the
-batch scan resumes.
+round-trip per chunk. Every other chunk runs through
+:meth:`repro.mmu.access.AccessEngine.run_chunk`, the slow path, which
+is the bit-exact reference.
 
 Bit-exactness contract (the bench-regression gate enforces it):
 
 * every per-chunk quantity (timestamps, cycle sums, histograms, window
-  samples, counter bumps) is computed with the same operations in the
-  same order as the slow path, per chunk -- only *validation* is
-  batched, never the floating-point commit arithmetic;
-* batched state (ok-masks, per-access latencies) is keyed to
-  ``PageTable.version``; any structural PTE mutation -- a fault
-  handled, a migration committed or aborted, a daemon pass, a
-  shootdown-driven remap -- bumps it and forces revalidation;
-* the executor yields to the event engine whenever an event is due at
-  or before the end of the chunk just executed, so daemons wake
-  mid-batch at exactly the cycle they would have under the slow path.
+  samples, CPU accounting) is computed with the same floating-point
+  operations in the same order as the slow path would, chunk by chunk,
+  and the page-table commit is the slow path's own
+  (:meth:`~repro.mmu.access.AccessEngine.commit_run`);
+* validation and commit run inside one process step, so no event can
+  change the page table between them;
+* a batch ends strictly before the next queued event, so daemons wake
+  at exactly the cycle they would have under the slow path.
 
-The batch size adapts: it doubles after every fully clean batch (up to
-``max_batch`` chunks) and resets to one whenever a chunk faults, so
-fault-dense phases pay almost no lookahead waste while hit-dominated
-phases amortize validation across thousands of accesses.
+The window adapts: it starts at two chunks, doubles after every
+committed batch (up to ``WINDOW_MAX``) and drops back to two whenever a
+validation commits nothing. The chunk after a faulting one goes
+straight to the slow path, so fault-dense phases pay for no lookahead.
 """
 
 from __future__ import annotations
@@ -39,15 +38,9 @@ from typing import Iterator, TYPE_CHECKING
 
 import numpy as np
 
-from ..mmu.pte import (
-    PTE_ACCESSED,
-    PTE_DIRTY,
-    PTE_HUGE,
-    PTE_PRESENT,
-    PTE_PROT_NONE,
-    PTE_WRITE,
-)
+from ..mmu.pte import PTE_PRESENT, PTE_PROT_NONE, PTE_WRITE
 from .bus import ChunkExecuted
+from .scheduler import record_chunk
 from .stats import LATENCY_BIN_EDGES, NR_LATENCY_BINS, WindowSample
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,20 +49,26 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["FastPathExecutor"]
 
+# Most chunks one validation peeks at.
+WINDOW_MAX = 32
+
+_PRESENT_OR_PROT_NONE = np.uint32(PTE_PRESENT | PTE_PROT_NONE)
+_PRESENT = np.uint32(PTE_PRESENT)
+_WRITE = np.uint32(PTE_WRITE)
+
 
 class FastPathExecutor:
     """Drives one application thread's chunk stream at two speeds."""
 
-    def __init__(self, machine, max_batch: int = 32) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    def __init__(self, machine) -> None:
         self.machine = machine
-        self.max_batch = max_batch
-        # Perf telemetry (not part of any simulated quantity).
+        # Perf telemetry (not part of any simulated quantity): chunks
+        # committed in vector batches, the batches, chunks run through
+        # AccessEngine.run_chunk, and validations that committed nothing.
         self.fast_chunks = 0
+        self.vector_batches = 0
         self.slow_chunks = 0
         self.revalidations = 0
-        self.vector_batches = 0
 
     # ------------------------------------------------------------------
     def run_stream(
@@ -86,290 +85,163 @@ class FastPathExecutor:
         m = self.machine
         engine = m.engine
         space = workload.space
-        pt = space.page_table
-        compute = workload.compute_cycles_per_access
-        access = m.access
-        stats = m.stats
-        bus = m.bus
-        tier_of = m.tiers.tier_of_gpfn
-        rlat = access.rlat
-        wlat = access.wlat
-        note_chunk = m.tlb_directory.note_chunk
-        folio_mask = np.int64(~(m.folio_pages - 1))
-        acc_bit = np.uint32(PTE_ACCESSED)
-        dirty_bit = np.uint32(PTE_DIRTY)
-        pt_flags = pt.flags
-        pt_gpfn = pt.gpfn
-
-        batch = 1
-
+        run_chunk = m.access.run_chunk
+        has_subscribers = m.bus.has_subscribers
+        window = 2
+        validate = True
         while True:
-            window = stream.peek(batch)
-            if not window:
+            # A ChunkExecuted subscriber observes the machine between
+            # chunks, so it gets every chunk from the slow path.
+            batch = validate and not has_subscribers(ChunkExecuted)
+            chunks = stream.peek(window if batch else 1)
+            if not chunks:
                 return
-
-            # -- validate the peeked chunks in one pass ----------------
-            if len(window) == 1:
-                cat_vpns, cat_w = window[0]
-            else:
-                cat_vpns = np.concatenate([p[0] for p in window])
-                cat_w = np.concatenate([p[1] for p in window])
-            f = pt_flags[cat_vpns]
-            ok = (f & PTE_PRESENT).astype(bool)
-            ok &= (f & PTE_PROT_NONE) == 0
-            ok &= ~cat_w | ((f & PTE_WRITE) != 0)
-            bad = ~ok
-            nclean = int(bad.argmax()) if bad.any() else len(cat_vpns)
-            if nclean:
-                # Tier-priced latency and histogram bin per clean access.
-                t = tier_of[pt_gpfn[cat_vpns[:nclean]]]
-                lat_all = np.where(cat_w[:nclean], wlat[t], rlat[t])
-                bins_all = np.searchsorted(
-                    LATENCY_BIN_EDGES, lat_all, side="right"
-                )
-            epoch = pt.version
-            total = len(cat_vpns)
-            faulted = nclean < total
-            nc = len(window)
-            n0 = len(window[0][0])
-            uniform = nc > 1 and all(len(p[0]) == n0 for p in window)
-            # Vectorized commit needs equal-length chunks (the reshape)
-            # and no ChunkExecuted subscriber (a subscriber observes
-            # state between chunks). ncc counts the window's leading
-            # fully-clean chunks; their per-chunk latency sums are
-            # row-wise pairwise reductions over contiguous slices of
-            # lat_all, bit-identical to the per-chunk 1D sums, and are
-            # computed once per validation (they only depend on the
-            # epoch, not on the clock).
-            can_vector = uniform and not bus.has_subscribers(ChunkExecuted)
-            if can_vector:
-                ncc = nclean // n0
-                seg_sums_all = (
-                    lat_all[: ncc * n0].reshape(ncc, n0).sum(axis=1).tolist()
-                    if ncc
-                    else []
-                )
-            else:
-                ncc = 0
-
-            # -- commit the validated prefix ---------------------------
-            # One validation pass feeds many commits: the inner loop
-            # walks the window, vector-committing runs of clean chunks
-            # that fit before the next queued event and falling back to
-            # single-chunk commits (or a yield) at the event horizon.
-            # Every yield hands control to the engine; on resumption the
-            # epoch check at the top of the loop forces a full
-            # revalidation if any event structurally touched the page
-            # table, otherwise the same validated arrays keep serving.
-            off = 0
-            stale = False
-            committed = 0
-            while committed < nc:
-                if pt.version != epoch:
-                    stale = True
-                    break
-
-                if can_vector and ncc - committed >= 2:
-                    # Chain per-chunk wall times exactly as the scalar
-                    # path would -- scalar Python floats, only the first
-                    # chunk carries an IPI stall (no event runs inside
-                    # the batch to add one) -- stopping at the first
-                    # chunk that would end at or past the next queued
-                    # event (try_advance yields on ties, so daemons
-                    # still wake at their exact cycle).
-                    head = engine.next_event_time()
-                    now = engine.now
-                    pend = cpu.pending_stall
-                    starts = []
-                    bases = []
-                    ends = []
-                    for c in range(ncc - committed):
-                        stall = pend if c == 0 else 0.0
-                        t0 = now + stall
-                        elapsed = t0 - now
-                        cycles = elapsed + seg_sums_all[committed + c]
-                        if compute:
-                            cycles += compute * n0
-                        end = now + cycles
-                        if head is not None and end >= head:
-                            break
-                        starts.append(now)
-                        bases.append(t0 + elapsed)
-                        now = end
-                        ends.append(end)
-                    j = len(ends)
-                    if j >= 2 and engine.try_advance(ends[-1]):
-                        # The whole run commits at once. The collapsed
-                        # array ops are bit-identical to the per-chunk
-                        # sequence: row-wise cumsum on contiguous rows
-                        # equals the per-chunk 1D cumsums, maximum.at
-                        # and the accessed/dirty ORs are commutative and
-                        # idempotent, and the per-chunk histograms come
-                        # from one offset bincount.
-                        cpu.drain_stall()
-                        for _ in range(j):
-                            stream.popleft()
-                        mj = j * n0
-                        sl = slice(off, off + mj)
-                        vp = cat_vpns[sl]
-                        wv = cat_w[sl]
-                        lat2d = lat_all[sl].reshape(j, n0)
-                        ts_flat = (
-                            np.asarray(bases)[:, None]
-                            + np.cumsum(lat2d, axis=1)
-                        ).reshape(-1)
-                        pt_flags[vp] |= acc_bit
-                        any_w = bool(wv.any())
-                        if any_w:
-                            wr_all = vp[wv]
-                            pt_flags[wr_all] |= dirty_bit
-                            np.maximum.at(pt.last_write, wr_all, ts_flat[wv])
-                        np.maximum.at(pt.last_access, vp, ts_flat)
-                        huge = (f[sl] & PTE_HUGE) != 0
-                        if huge.any():
-                            noted = np.where(huge, vp & folio_mask, vp)
-                            note_chunk(cpu.name, space.asid, noted)
-                        else:
-                            note_chunk(cpu.name, space.asid, vp)
-                        hist2d = np.bincount(
-                            (
-                                bins_all[sl].reshape(j, n0)
-                                + np.arange(j)[:, None] * NR_LATENCY_BINS
-                            ).reshape(-1),
-                            minlength=j * NR_LATENCY_BINS,
-                        ).reshape(j, NR_LATENCY_BINS)
-                        if any_w:
-                            w2d = wv.reshape(j, n0)
-                            all_w = bool(wv.all())
-                            nw_rows = w2d.sum(axis=1)
-                        for c in range(j):
-                            seg_cycles = seg_sums_all[committed + c]
-                            if not any_w:
-                                wc = 0.0
-                                nw = 0
-                            elif all_w:
-                                wc = seg_cycles
-                                nw = int(nw_rows[c])
-                            else:
-                                wc = float(lat2d[c][w2d[c]].sum())
-                                nw = int(nw_rows[c])
-                            cpu.account("user", (seg_cycles - wc) + wc)
-                            if compute:
-                                cpu.account("compute", compute * n0)
-                            sample = WindowSample(
-                                start=starts[c],
-                                end=ends[c],
-                                reads=n0 - nw,
-                                writes=nw,
-                                read_cycles=seg_cycles - wc,
-                                write_cycles=wc,
-                                latency_hist=hist2d[c],
-                            )
-                            stats.record_window(sample)
-                            sink(sample)
-                        self.fast_chunks += j
-                        self.vector_batches += 1
-                        committed += j
-                        off += mj
-                        continue
-
-                # Single-chunk commit against the validated prefix.
-                vpns, writes = window[committed]
-                n = len(vpns)
-                if off + n > nclean:
-                    break
-                stream.popleft()
-                committed += 1
-                now = engine.now
-                stall = cpu.drain_stall()
-                t0 = now + stall
-                elapsed = t0 - now
-                lat = lat_all[off : off + n]
-                ts = t0 + elapsed + np.cumsum(lat)
-                pt_flags[vpns] |= acc_bit
-                wr = vpns[writes]
-                if len(wr):
-                    pt_flags[wr] |= dirty_bit
-                    np.maximum.at(pt.last_write, wr, ts[writes])
-                np.maximum.at(pt.last_access, vpns, ts)
-                fc = f[off : off + n]
-                huge = (fc & PTE_HUGE) != 0
-                if huge.any():
-                    noted = np.where(huge, vpns & folio_mask, vpns)
-                    note_chunk(cpu.name, space.asid, noted)
-                else:
-                    note_chunk(cpu.name, space.asid, vpns)
-                if bus.has_subscribers(ChunkExecuted):
-                    bus.publish(ChunkExecuted(space, vpns, writes, ts))
-                hist = np.bincount(
-                    bins_all[off : off + n], minlength=NR_LATENCY_BINS
-                )
-                seg_cycles = float(lat.sum())
-                wc = float(lat[writes].sum())
-                nw = int(writes.sum())
-                cpu.account("user", (seg_cycles - wc) + wc)
-                cycles = elapsed + seg_cycles
-                if compute:
-                    extra = compute * n
-                    cpu.account("compute", extra)
-                    cycles += extra
-                sample = WindowSample(
-                    start=now,
-                    end=now + cycles,
-                    reads=n - nw,
-                    writes=nw,
-                    read_cycles=seg_cycles - wc,
-                    write_cycles=wc,
-                    latency_hist=hist,
-                )
-                stats.record_window(sample)
-                sink(sample)
-                self.fast_chunks += 1
-                off += n
-                if not engine.try_advance(now + cycles):
-                    yield cycles
-                # An event serviced during the yield may have remapped
-                # pages; the epoch check at the top of the loop catches
-                # that before the next chunk trusts the validated
-                # prefix.
-
-            if stale:
+            if batch:
+                if self._commit_batch(workload, cpu, chunks, stream, sink):
+                    window = min(window * 2, WINDOW_MAX)
+                    continue
                 self.revalidations += 1
-                continue
+                window = 2
 
-            if faulted and committed < len(window):
-                # The head chunk contains the first offending access:
-                # drop into the event-engine slow path wholesale.
-                vpns, writes = window[committed]
-                stream.popleft()
-                start = engine.now
-                profiler = engine.profiler
-                if profiler is None:
-                    result = access.run_chunk(space, cpu, vpns, writes)
-                else:
-                    # Host-clock detail bucket: how much of the app's
-                    # wall time is spent bailing to the event engine.
-                    with profiler.scope("app.slowpath"):
-                        result = access.run_chunk(space, cpu, vpns, writes)
-                cycles = result.cycles
-                if compute:
-                    extra = compute * len(vpns)
-                    cpu.account("compute", extra)
-                    cycles += extra
-                sample = WindowSample(
-                    start=start,
-                    end=start + cycles,
-                    reads=result.reads,
-                    writes=result.writes,
-                    read_cycles=result.read_cycles,
-                    write_cycles=result.write_cycles,
-                    latency_hist=result.latency_hist,
-                )
-                stats.record_window(sample)
-                sink(sample)
-                self.slow_chunks += 1
-                batch = 1
-                if not engine.try_advance(start + cycles):
-                    yield cycles
-            elif not faulted:
-                batch = min(batch * 2, self.max_batch)
+            vpns, writes = stream.popleft()
+            start = engine.now
+            profiler = engine.profiler
+            if profiler is None:
+                result = run_chunk(space, cpu, vpns, writes)
+            else:
+                # Host-clock detail bucket: how much of the app's wall
+                # time goes to chunks the batch commit did not take.
+                with profiler.scope("app.slowpath"):
+                    result = run_chunk(space, cpu, vpns, writes)
+            cycles = record_chunk(m.stats, workload, cpu, start, result, sink)
+            self.slow_chunks += 1
+            # Faults come in bursts: validating the chunk after a
+            # faulting one is mostly wasted work.
+            validate = not result.faults
+            if not engine.try_advance(start + cycles):
+                yield cycles
+
+    def _commit_batch(
+        self, workload: "Workload", cpu: "Cpu", chunks, stream, sink
+    ) -> int:
+        """Commit the clean head of ``chunks`` in one vectorized pass.
+
+        Commits the longest run of at least two leading, equal-length,
+        clean chunks that ends before the next queued event, if the
+        engine allows the inline advance; returns the number of chunks
+        committed (0 when nothing was).
+        """
+        n0 = len(chunks[0][0])
+        nc = 1
+        while nc < len(chunks) and len(chunks[nc][0]) == n0:
+            nc += 1
+        if nc < 2:
+            return 0
+        m = self.machine
+        access = m.access
+        engine = m.engine
+        space = workload.space
+        pt = space.page_table
+        vpns = np.concatenate([c[0] for c in chunks[:nc]])
+        writes = np.concatenate([c[1] for c in chunks[:nc]])
+        f = pt.flags[vpns]
+        # bad = not-present | prot-none | (write & !writable), as the
+        # slow path's scan tests it.
+        bad = (f & _PRESENT_OR_PROT_NONE) != _PRESENT
+        bad |= writes & ((f & _WRITE) == 0)
+        k = int(bad.argmax())
+        nclean = k // n0 if bad[k] else nc
+        if nclean < 2:
+            return 0
+        vpns = vpns[: nclean * n0]
+        writes = writes[: nclean * n0]
+        t = m.tiers.tier_of_gpfn[pt.gpfn[vpns]]
+        lat = np.where(writes, access.wlat[t], access.rlat[t])
+        # Row-wise pairwise sums over contiguous rows: bit-identical to
+        # the slow path's per-chunk 1D sums.
+        seg_sums = lat.reshape(nclean, n0).sum(axis=1).tolist()
+
+        # Chain per-chunk wall times exactly as the slow path would --
+        # scalar Python floats, only the first chunk carries an IPI
+        # stall (no event runs inside the batch to add one) -- stopping
+        # at the first chunk that would end at or past the next queued
+        # event (try_advance yields on ties, so daemons still wake at
+        # their exact cycle).
+        compute = workload.compute_cycles_per_access
+        head = engine.next_event_time()
+        now = engine.now
+        stall = cpu.pending_stall
+        starts = []
+        bases = []
+        ends = []
+        for seg in seg_sums:
+            t0 = now + stall
+            elapsed = t0 - now
+            cycles = elapsed + seg
+            if compute:
+                cycles += compute * n0
+            end = now + cycles
+            if head is not None and end >= head:
+                break
+            starts.append(now)
+            bases.append(t0 + elapsed)
+            ends.append(end)
+            now = end
+            stall = 0.0
+        j = len(ends)
+        if j < 2 or not engine.try_advance(ends[-1]):
+            return 0
+
+        # The whole run commits at once. The collapsed array ops are
+        # bit-identical to the per-chunk sequence: row-wise cumsum on
+        # contiguous rows equals the per-chunk 1D cumsums, commit_run's
+        # ORs and maximum.at are commutative and idempotent, and the
+        # per-chunk histograms come from one offset bincount.
+        cpu.drain_stall()
+        for _ in range(j):
+            stream.popleft()
+        mj = j * n0
+        vpns = vpns[:mj]
+        writes = writes[:mj]
+        lat2d = lat[:mj].reshape(j, n0)
+        ts = (np.asarray(bases)[:, None] + np.cumsum(lat2d, axis=1)).reshape(-1)
+        any_w = bool(writes.any())
+        tlb_mask = m.tlb_directory.page_mask(space.asid, cpu.name, pt.nr_vpns)
+        access.commit_run(
+            pt, tlb_mask, vpns, writes if any_w else None, f[:mj], ts
+        )
+        bins = np.searchsorted(LATENCY_BIN_EDGES, lat2d, side="right")
+        bins += np.arange(j)[:, None] * NR_LATENCY_BINS
+        hist2d = np.bincount(
+            bins.reshape(-1), minlength=j * NR_LATENCY_BINS
+        ).reshape(j, NR_LATENCY_BINS)
+        if any_w:
+            # Whole-cycle latencies add exactly, so the masked row sums
+            # equal the slow path's sums over the stores alone.
+            w2d = writes.reshape(j, n0)
+            nw_rows = w2d.sum(axis=1).tolist()
+            wc_rows = lat2d.sum(axis=1, where=w2d).tolist()
+        else:
+            nw_rows, wc_rows = [0] * j, [0.0] * j
+        stats = m.stats
+        for c in range(j):
+            seg = seg_sums[c]
+            wc = wc_rows[c]
+            nw = nw_rows[c]
+            cpu.account("user", (seg - wc) + wc)
+            if compute:
+                cpu.account("compute", compute * n0)
+            sample = WindowSample(
+                start=starts[c],
+                end=ends[c],
+                reads=n0 - nw,
+                writes=nw,
+                read_cycles=seg - wc,
+                write_cycles=wc,
+                latency_hist=hist2d[c],
+            )
+            stats.record_window(sample)
+            sink(sample)
+        self.fast_chunks += j
+        self.vector_batches += 1
+        return j

@@ -24,6 +24,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING
 from .stats import Stats, WindowSample
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..mmu.access import ChunkResult
     from ..system import Machine
     from ..workloads.base import Workload
     from .cpu import Cpu
@@ -114,6 +115,37 @@ class RunReport:
             "obs": self.obs,
             "selfprof": self.selfprof,
         }
+
+
+def record_chunk(
+    stats: Stats,
+    workload: "Workload",
+    cpu: "Cpu",
+    start: float,
+    result: "ChunkResult",
+    sink,
+) -> float:
+    """Close one ``AccessEngine.run_chunk`` call begun at ``start``:
+    charge the workload's compute cycles, record the chunk's window
+    sample, and return its total cycles."""
+    cycles = result.cycles
+    compute = workload.compute_cycles_per_access
+    if compute:
+        extra = compute * (result.reads + result.writes)
+        cpu.account("compute", extra)
+        cycles += extra
+    sample = WindowSample(
+        start=start,
+        end=start + cycles,
+        reads=result.reads,
+        writes=result.writes,
+        read_cycles=result.read_cycles,
+        write_cycles=result.write_cycles,
+        latency_hist=result.latency_hist,
+    )
+    stats.record_window(sample)
+    sink(sample)
+    return cycles
 
 
 class RunScheduler:
@@ -253,27 +285,10 @@ class RunScheduler:
     def _thread_proc(self, workload: "Workload", cpu: "Cpu", chunks, sink) -> Iterator[float]:
         """One application thread draining (part of) an access stream."""
         m = self.machine
-        compute = workload.compute_cycles_per_access
         for vpns, writes in chunks:
             start = m.engine.now
             result = m.access.run_chunk(workload.space, cpu, vpns, writes)
-            cycles = result.cycles
-            if compute:
-                extra = compute * len(vpns)
-                cpu.account("compute", extra)
-                cycles += extra
-            sample = WindowSample(
-                start=start,
-                end=start + cycles,
-                reads=result.reads,
-                writes=result.writes,
-                read_cycles=result.read_cycles,
-                write_cycles=result.write_cycles,
-                latency_hist=result.latency_hist,
-            )
-            m.stats.record_window(sample)
-            sink(sample)
-            yield cycles
+            yield record_chunk(m.stats, workload, cpu, start, result, sink)
 
     # ------------------------------------------------------------------
     # Report assembly

@@ -98,9 +98,9 @@ class MachineConfig:
     # historical base-page behaviour bit-exactly; THP experiments opt in.
     thp_order: int = 9
     thp_enabled: bool = False
-    # Two-speed engine (repro.sim.fastpath): batch-validate chunk runs
-    # and advance the clock inline between non-faulting chunks, dropping
-    # into the event-engine slow path only on faults. Bit-identical to
+    # Two-speed engine (repro.sim.fastpath): commit runs of fault-free
+    # chunks in one vectorized step with an inline clock advance, and
+    # every other chunk on the event-engine slow path. Bit-identical to
     # the slow path by construction (the bench-regression gate pins it);
     # turn off -- or export REPRO_FASTPATH=0 -- to bisect any suspected
     # divergence against the pure event-engine execution.

@@ -54,24 +54,6 @@ class ChunkStream:
         """Consume the oldest peeked chunk."""
         return self._buf.popleft()
 
-    @property
-    def exhausted(self) -> bool:
-        """True once both the buffer and the source are empty."""
-        return self._done and not self._buf
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        while True:
-            if self._buf:
-                yield self._buf.popleft()
-                continue
-            if self._done:
-                return
-            try:
-                yield next(self._it)
-            except StopIteration:
-                self._done = True
-                return
-
 
 class ZipfGenerator:
     """Zipfian rank sampler (the paper's micro-benchmark distribution).

@@ -1,12 +1,14 @@
 """Two-speed engine equivalence: fast path on == off, bit for bit.
 
 The batched fast path (:mod:`repro.sim.fastpath`) promises that enabling
-it changes *nothing* simulated -- cycles, counters, PTE state, window
-aggregates -- only wall-clock speed. These tests pin that promise from
-three angles: hypothesis-driven random traces across every policy, a
-deterministic streaming run that must engage the vectorized batch
-commit, and the THP arm where huge-folio mappings flow through the
-validation masks.
+it changes *nothing* simulated -- cycles, counters, PTE state, TLB
+masks, window aggregates -- only wall-clock speed. These tests pin that
+promise from three angles: hypothesis-driven random traces across every
+policy, a deterministic streaming run that must engage the vectorized
+batch commit, and the THP arm where huge-folio mappings flow through the
+validation masks. Two more pin its lookahead rules: no validation right
+after a faulting chunk, and a two-chunk window while the engine refuses
+inline advances.
 
 The slow path itself commits a clean run in one of two ways, access by
 access for runs of at most ``SCALAR_RUN_MAX`` accesses and vectorized
@@ -22,22 +24,30 @@ from hypothesis import strategies as st
 
 from repro import Machine, MachineConfig
 from repro.bench.sweep import counter_digest
+from repro.debug import DebugConfig
 from repro.mmu import access as access_mod
 from repro.mmu.pte import PTE_HUGE
 from repro.policies import make_policy
+from repro.workloads.base import ChunkStream, Workload
 
 from ..conftest import tiny_platform
 from .test_properties import RandomTraceWorkload, trace_strategy
 
 
-def _run_trace(policy, nr_pages, fast_fraction, trace, fastpath, chunk=32):
+def _run(policy, workload, fastpath, chunk, **config):
     """One full machine run; returns every simulated quantity we pin."""
-    cfg = MachineConfig(chunk_size=chunk, fastpath_enabled=fastpath)
+    cfg = MachineConfig(chunk_size=chunk, fastpath_enabled=fastpath, **config)
     machine = Machine(tiny_platform(fast_gb=1.0, slow_gb=2.0), cfg)
     machine.set_policy(make_policy(policy, machine))
-    workload = RandomTraceWorkload(nr_pages, fast_fraction, trace)
     report = machine.run_workload(workload)
     return _snapshot(machine, report, workload.space)
+
+
+def _run_trace(
+    policy, nr_pages, fast_fraction, trace, fastpath, chunk=32, **config
+):
+    workload = RandomTraceWorkload(nr_pages, fast_fraction, trace)
+    return _run(policy, workload, fastpath, chunk, **config)
 
 
 def _snapshot(machine, report, space):
@@ -54,10 +64,14 @@ def _snapshot(machine, report, space):
         "gpfn": pt.gpfn.copy(),
         "last_access": pt.last_access.copy(),
         "last_write": pt.last_write.copy(),
-        "tlb": [
-            sorted(tlb.holders(space.asid, vpn))
-            for vpn in range(space.vmas[-1].end)
-        ],
+        # Per CPU, the workload's vpns whose translation it may cache
+        # (ASIDs count up across machines, so key by CPU alone). The
+        # set, not the mask: the two paths may size masks differently.
+        "tlb": {
+            cpu: np.flatnonzero(mask).tolist()
+            for cpu, mask in tlb._masks.get(space.asid, {}).items()
+            if mask.any()
+        },
         "window_hists": np.array(
             [w.latency_hist for w in machine.stats.windows]
         ),
@@ -72,6 +86,7 @@ def _assert_identical(fast, slow):
     assert fast["bandwidth_gbps"] == slow["bandwidth_gbps"]
     for key in ("flags", "gpfn", "last_access", "last_write"):
         np.testing.assert_array_equal(fast[key], slow[key], err_msg=key)
+    assert fast["tlb"] == slow["tlb"]
 
 
 @settings(max_examples=15, deadline=None)
@@ -89,56 +104,117 @@ def test_fastpath_matches_slow_path(policy, nr_pages, fast_fraction, trace, chun
     _assert_identical(fast, slow)
 
 
-def test_vectorized_batch_commit_engages_and_matches(monkeypatch):
-    """A fault-free streaming run must take the vectorized batch path --
-    guarding against silent de-vectorization -- and still match the slow
-    path exactly."""
+@pytest.fixture
+def executors(monkeypatch):
+    """Every FastPathExecutor constructed during the test."""
     from repro.sim import fastpath as fp
 
     captured = []
     orig_init = fp.FastPathExecutor.__init__
 
-    def spy(self, machine, max_batch=32):
-        orig_init(self, machine, max_batch)
+    def spy(self, machine):
+        orig_init(self, machine)
         captured.append(self)
 
     monkeypatch.setattr(fp.FastPathExecutor, "__init__", spy)
+    return captured
 
+
+def test_vectorized_batch_commit_engages_and_matches(executors):
+    """A fault-free streaming run must take the vectorized batch path --
+    guarding against silent de-vectorization -- and still match the slow
+    path exactly."""
     # Sequential sweeps over an all-fast working set: zero runtime
     # faults after populate, uniform chunks -- the vectorized cell.
     trace = [(i % 64, i % 3 == 0) for i in range(4000)]
     fast = _run_trace("no-migration", 64, 1.0, trace, True, chunk=50)
-    assert captured, "fast path never constructed despite fastpath_enabled"
-    assert sum(e.vector_batches for e in captured) > 0, (
+    assert executors, "fast path never constructed despite fastpath_enabled"
+    assert sum(e.vector_batches for e in executors) > 0, (
         "vectorized batch commit never engaged on a fault-free stream"
     )
-    assert sum(e.slow_chunks for e in captured) == 0
+    assert sum(e.slow_chunks for e in executors) == 0
     slow = _run_trace("no-migration", 64, 1.0, trace, False, chunk=50)
     _assert_identical(fast, slow)
 
 
-def test_fastpath_matches_slow_path_with_thp():
+class FirstTouchWorkload(Workload):
+    """Each chunk opens on a page no earlier chunk touched, so every
+    chunk takes a demand-paging fault."""
+
+    name = "first-touch"
+
+    def __init__(self, nr_chunks, chunk):
+        super().__init__(total_accesses=nr_chunks * chunk, chunk_size=chunk)
+        self.nr_chunks = nr_chunks
+
+    def setup(self):
+        self._next = self.space.mmap(self.nr_chunks).start
+
+    def generate(self, n):
+        vpns = np.full(n, self._next, dtype=np.int64)
+        self._next += 1
+        return vpns, np.arange(n) % 2 == 0
+
+
+def test_fault_in_every_chunk_skips_validation(executors):
+    """The chunk after a faulting one goes straight to the slow path:
+    only the first chunk is ever validated, and nothing batches."""
+    fast = _run("no-migration", FirstTouchWorkload(40, 32), True, chunk=32)
+    (executor,) = executors
+    assert executor.vector_batches == 0
+    assert executor.revalidations <= 1
+    assert executor.slow_chunks == 40
+    slow = _run("no-migration", FirstTouchWorkload(40, 32), False, chunk=32)
+    _assert_identical(fast, slow)
+
+
+def test_refused_inline_advance_keeps_window_at_two(executors, monkeypatch):
+    """Paranoid mode's post-step hook makes try_advance refuse, so no
+    validation commits anything: the window never grows past two
+    chunks, every chunk runs on the slow path, and the run matches the
+    fast-path-off run under the same hook."""
+    peeks = []
+    orig_peek = ChunkStream.peek
+
+    def spy(self, k):
+        peeks.append(k)
+        return orig_peek(self, k)
+
+    monkeypatch.setattr(ChunkStream, "peek", spy)
+    paranoid = dict(debug_enabled=True, debug=DebugConfig(paranoid=True))
+    trace = [(i % 64, i % 3 == 0) for i in range(2000)]
+    fast = _run_trace("no-migration", 64, 1.0, trace, True, 50, **paranoid)
+    (executor,) = executors
+    assert executor.fast_chunks == executor.vector_batches == 0
+    assert executor.slow_chunks == 40
+    # A fault-free run validates before every chunk, and each of those
+    # validations is wasted.
+    assert executor.revalidations == 40
+    assert max(peeks) <= 2
+    slow = _run_trace("no-migration", 64, 1.0, trace, False, 50, **paranoid)
+    _assert_identical(fast, slow)
+
+
+def test_fastpath_matches_slow_path_with_thp(executors):
     """Huge-folio mappings (PTE_HUGE set) flow through the fast path's
     validation and folio-head TLB noting; on/off must stay identical."""
     from repro.bench.experiments.thp import thp_config
-    from repro.bench.runner import run_experiment
+    from repro.bench.runner import build_machine
     from repro.workloads import ZipfianMicrobench
 
     def arm(fastpath):
         cfg = dataclasses.replace(thp_config(True), fastpath_enabled=fastpath)
-        result = run_experiment(
-            "A",
-            "tpp",
-            lambda: ZipfianMicrobench.scenario(
-                "small", write_ratio=0.5, total_accesses=20_000, seed=7,
-                thp=True,
-            ),
-            config=cfg,
+        machine = build_machine("A", "tpp", config=cfg)
+        workload = ZipfianMicrobench.scenario(
+            "small", write_ratio=0.5, total_accesses=20_000, seed=7, thp=True
         )
-        report = result.report
-        return report.cycles, counter_digest(report.counters)
+        report = machine.run_workload(workload)
+        return _snapshot(machine, report, workload.space)
 
-    assert arm(True) == arm(False)
+    fast = arm(True)
+    assert (fast["flags"] & PTE_HUGE).any()
+    assert sum(e.vector_batches for e in executors) > 0
+    _assert_identical(fast, arm(False))
 
 
 def test_repro_fastpath_env_knob(monkeypatch):
@@ -175,7 +251,6 @@ def _commit_arms(run):
 
 def _assert_commits_identical(vector, scalar):
     _assert_identical(vector, scalar)
-    assert vector["tlb"] == scalar["tlb"]
     assert vector.get("published") == scalar.get("published")
     np.testing.assert_array_equal(
         vector["window_hists"], scalar["window_hists"]

@@ -60,22 +60,12 @@ def test_directory_shootdown_untracked_page():
     assert directory.shootdown(1, 10) == set()
 
 
-def test_directory_note_chunk():
-    import numpy as np
-
-    directory = TlbDirectory()
-    directory.note_chunk("cpu0", 2, np.array([4, 5, 6]))
-    assert directory.holders(2, 5) == {"cpu0"}
-
-
 def test_directory_page_mask_is_sized_once():
-    import numpy as np
-
     directory = TlbDirectory()
     directory.note_access("cpu0", 3, 7)
     mask = directory.page_mask(3, "cpu0", 5000)
     assert len(mask) >= 5000 and mask[7]
-    directory.note_chunk("cpu0", 3, np.array([4999, 12]))
+    directory.note_access("cpu0", 3, 4999)
     directory.note_access("cpu0", 3, 4000)
     assert directory.page_mask(3, "cpu0", 5000) is mask
     assert directory.holders(3, 4999) == {"cpu0"}
