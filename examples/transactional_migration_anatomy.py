@@ -17,14 +17,13 @@ from repro.core import (
     TpmOutcome,
     TransactionalMigrator,
 )
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.pte import PTE_DIRTY, describe_flags
 
 
 def narrate(machine, space, vpn, label):
     pt = space.page_table
     flags, gpfn = pt.entry(vpn)
-    tier = "fast" if machine.tiers.tier_of(gpfn) == FAST_TIER else "slow"
+    tier = "fast" if machine.tiers.tier_of(gpfn) == 0 else "slow"
     print(
         f"  [{machine.engine.now:>9.0f} cy] {label:<34s} "
         f"PTE={describe_flags(flags):<8s} tier={tier}"
@@ -37,7 +36,7 @@ def run_transaction(write_during_copy: bool) -> None:
     migrator = TransactionalMigrator(machine, shadow_index)
     space = machine.create_space("demo")
     vma = space.mmap(1, name="page")
-    machine.populate(space, [vma.start], SLOW_TIER)
+    machine.populate(space, [vma.start], 1)
     vpn = vma.start
     frame = machine.tiers.frame(int(space.page_table.gpfn[vpn]))
     request = MigrationRequest(frame, space, vpn, frame.generation)

@@ -21,7 +21,7 @@ paper-vs-measured record.
 """
 
 from .mem.node import OutOfMemoryError
-from .mem.tiers import FAST_TIER, SLOW_TIER, TieredMemory
+from .mem.tiers import TieredMemory
 from .mem.topology import TierSpec, TierTopology
 from .sim.platform import (
     PAGES_PER_GB,
@@ -78,8 +78,6 @@ __all__ = [
     "TierSpec",
     "TierTopology",
     "OutOfMemoryError",
-    "FAST_TIER",
-    "SLOW_TIER",
     "three_tier",
     "apply_topology",
     "Platform",

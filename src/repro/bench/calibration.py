@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..mem.tiers import FAST_TIER, SLOW_TIER
 from ..mmu.pte import PTE_PROT_NONE
 from ..policies.base import TieringPolicy
 from ..sim.costs import PAGE_SIZE
@@ -66,15 +65,15 @@ def calibrate(platform: Platform) -> PlatformCalibration:
     space = machine.create_space("calibration")
     vma = space.mmap(4)
     vpns = list(vma.vpns())
-    machine.populate(space, vpns[:2], FAST_TIER)
-    machine.populate(space, vpns[2:], SLOW_TIER)
+    machine.populate(space, vpns[:2], 0)
+    machine.populate(space, vpns[2:], 1)
 
     fast_read = _time_access(machine, space, vpns[0])
     slow_read = _time_access(machine, space, vpns[2])
 
     costs = machine.costs
-    promote_copy = costs.page_copy_cycles(SLOW_TIER, FAST_TIER)
-    demote_copy = costs.page_copy_cycles(FAST_TIER, SLOW_TIER)
+    promote_copy = costs.page_copy_cycles(1, 0)
+    demote_copy = costs.page_copy_cycles(0, 1)
 
     def copy_gbps(cycles: float) -> float:
         seconds = cycles / (platform.freq_ghz * 1e9)

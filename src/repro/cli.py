@@ -7,9 +7,8 @@ Usage::
     python -m repro run fig7 --platform A
     python -m repro run tab4
     python -m repro micro --policy nomad --scenario medium --write-ratio 0.5
-    python -m repro trace --format chrome --output trace.json
     python -m repro obs --output-dir out/obs
-    python -m repro spans --format chrome --output spans.json
+    python -m repro obs --artifact spans_chrome > spans.json
     python -m repro top --scenario medium --write-ratio 0.7
     python -m repro sweep --platforms A,C --policies tpp,nomad --workers 4
     python -m repro bench --quick --workers 2
@@ -20,20 +19,17 @@ Usage::
 
 ``run`` prints the same rows the corresponding paper figure plots;
 ``micro`` runs a single ad-hoc micro-benchmark cell and dumps its
-counters; ``trace`` dumps one cell's event stream (legacy counter CSV
-or the structured tracepoint formats); ``obs`` runs a fully
-instrumented cell and writes every exporter output (JSONL events,
-Chrome Trace for Perfetto, Prometheus text, gauge CSV, span JSONL,
-windowed time-series CSV); ``spans`` dumps one cell's stitched
-lifecycle spans (migration transactions, queue residencies, shadow
-lifetimes) as JSONL or a Perfetto-loadable trace; ``top`` runs a cell
-with a live terminal dashboard tailing the windowed time series;
-``sweep`` fans a declarative grid out across a worker pool; ``bench``
-runs a
-pinned perf suite and writes a ``BENCH_<timestamp>.json`` report (see
-docs/benchmarking.md); ``check`` runs the chaos corpus -- a fault grid
-crossed with a seed set, runtime invariants enabled -- and exits
-nonzero on any violation (see docs/extending.md).
+counters; ``obs`` runs a fully instrumented cell and writes every
+exporter output (JSONL and CSV events, Chrome Trace for Perfetto,
+Prometheus text, gauge CSV, lifecycle spans as JSONL and Perfetto
+slices, windowed time series), or prints one of them with
+``--artifact KIND``; ``top`` runs a cell with a live terminal dashboard
+tailing the windowed time series; ``sweep`` fans a declarative grid out
+across a worker pool; ``bench`` runs a pinned perf suite and writes a
+``BENCH_<timestamp>.json`` report (see docs/benchmarking.md); ``check``
+runs the chaos corpus -- a fault grid crossed with a seed set, runtime
+invariants enabled -- and exits nonzero on any violation (see
+docs/extending.md).
 """
 
 from __future__ import annotations
@@ -90,15 +86,40 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _add_cell_options(
+    parser: argparse.ArgumentParser,
+    scenario: str = "medium",
+    write_ratio: float = 0.3,
+    accesses: int = 60_000,
+) -> None:
+    """The micro-benchmark cell options ``micro``, ``obs`` and ``top`` share."""
+    parser.add_argument("--policy", default="nomad")
+    parser.add_argument(
+        "--scenario", default=scenario, choices=("small", "medium", "large")
+    )
+    parser.add_argument("--write-ratio", type=float, default=write_ratio)
+    parser.add_argument("--platform", default="A")
+    parser.add_argument("--accesses", type=int, default=accesses)
+
+
+def _cell_workload(args) -> ZipfianMicrobench:
+    return ZipfianMicrobench.scenario(
+        args.scenario,
+        write_ratio=args.write_ratio,
+        total_accesses=args.accesses,
+    )
+
+
+def _make_cell(args):
+    """Build the (machine, workload) pair ``obs`` and ``top`` run."""
+    from .bench.runner import build_machine
+
+    return build_machine(args.platform, args.policy), _cell_workload(args)
+
+
 def _cmd_micro(args) -> int:
     result = run_experiment(
-        args.platform,
-        args.policy,
-        lambda: ZipfianMicrobench.scenario(
-            args.scenario,
-            write_ratio=args.write_ratio,
-            total_accesses=args.accesses,
-        ),
+        args.platform, args.policy, lambda: _cell_workload(args)
     )
     print_table(
         f"{args.policy} / {args.scenario} WSS / write_ratio={args.write_ratio} "
@@ -119,82 +140,28 @@ def _cmd_micro(args) -> int:
     return 0
 
 
-def _make_traced_cell(args):
-    """Build the (machine, workload) pair every trace-ish command runs."""
-    from .bench.runner import build_machine
-
-    machine = build_machine(args.platform, args.policy)
-    workload = ZipfianMicrobench.scenario(
-        args.scenario,
-        write_ratio=args.write_ratio,
-        total_accesses=args.accesses,
-    )
-    return machine, workload
-
-
-def _write_output(text: str, output: str) -> bool:
-    """Write to a path or stdout ('-'); returns True if a file was written."""
-    if output == "-":
-        sys.stdout.write(text)
-        return False
-    with open(output, "w") as f:
-        f.write(text)
-    return True
-
-
-def _cmd_trace(args) -> int:
-    import json
-
-    from .obs import chrome_trace, events_to_jsonl
-    from .sim.trace import TraceRecorder
-
-    machine, workload = _make_traced_cell(args)
-    if args.format == "csv":
-        # Legacy counter-event stream (one row per traced counter bump).
-        recorder = TraceRecorder(machine)
-        with recorder:
-            machine.run_workload(workload)
-        wrote = _write_output(recorder.to_csv(), args.output)
-        summary = {
-            k: v for k, v in recorder.summary().items() if not k.startswith("_")
-        }
-    else:
-        # Structured tracepoints from the observability layer.
-        machine.obs.enable(sample_period=args.sample_period)
-        machine.run_workload(workload)
-        if args.format == "jsonl":
-            text = events_to_jsonl(machine.obs.records())
-        else:  # chrome
-            text = json.dumps(
-                chrome_trace(
-                    machine.obs.records(),
-                    machine.obs.sampler,
-                    machine.platform.freq_ghz,
-                )
-            )
-        wrote = _write_output(text, args.output)
-        summary = dict(machine.obs.counts())
-    if wrote:
-        print_table(
-            f"Event trace written to {args.output}",
-            ["event", "count"],
-            sorted(summary.items()),
-            "{:.0f}",
-        )
-    return 0
-
-
 def _cmd_obs(args) -> int:
-    from .obs import write_obs_outputs
+    from .obs.export import obs_artifacts, render_obs_output, write_obs_outputs
 
-    machine, workload = _make_traced_cell(args)
+    machine, workload = _make_cell(args)
     machine.obs.enable(
         capacity=args.capacity, sample_period=args.sample_period
     )
     # The second tier rides along so one `repro obs` run yields every
     # artifact the schema checker validates (spans.jsonl, timeseries.csv).
     machine.obs.enable_timeseries(window_cycles=args.window)
+    kinds = obs_artifacts(machine)
+    if args.artifact is not None and args.artifact not in kinds:
+        print(
+            f"error: unknown artifact {args.artifact!r}; "
+            f"choose from {', '.join(kinds)}",
+            file=sys.stderr,
+        )
+        return 2
     report = machine.run_workload(workload)
+    if args.artifact is not None:
+        sys.stdout.write(render_obs_output(machine, args.artifact))
+        return 0
     paths = write_obs_outputs(machine, args.output_dir)
     print_table(
         f"Tracepoints ({machine.obs.dropped} dropped)",
@@ -219,37 +186,10 @@ def _cmd_obs(args) -> int:
     return 0
 
 
-def _cmd_spans(args) -> int:
-    import json
-
-    from .obs.spans import spans_to_chrome, spans_to_jsonl
-
-    machine, workload = _make_traced_cell(args)
-    tracker = machine.obs.enable_spans(capacity=args.capacity)
-    machine.run_workload(workload)
-    spans = tracker.spans()
-    if args.format == "jsonl":
-        text = spans_to_jsonl(spans)
-    else:  # chrome
-        text = json.dumps(spans_to_chrome(spans, machine.platform.freq_ghz))
-    wrote = _write_output(text, args.output)
-    if wrote:
-        summary = tracker.summary()
-        print_table(
-            f"Spans written to {args.output} "
-            f"({summary['completed']} completed, {summary['dropped']} "
-            f"dropped, {summary['open']} still open)",
-            ["kind:outcome", "count"],
-            sorted(summary["by_outcome"].items()),
-            "{:.0f}",
-        )
-    return 0
-
-
 def _cmd_top(args) -> int:
     from .obs.top import run_top
 
-    machine, workload = _make_traced_cell(args)
+    machine, workload = _make_cell(args)
     frames = run_top(
         machine,
         workload,
@@ -625,54 +565,21 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     micro_p = sub.add_parser("micro", help="run one micro-benchmark cell")
-    micro_p.add_argument("--policy", default="nomad")
-    micro_p.add_argument(
-        "--scenario", default="small", choices=("small", "medium", "large")
+    _add_cell_options(
+        micro_p, scenario="small", write_ratio=0.0, accesses=120_000
     )
-    micro_p.add_argument("--write-ratio", type=float, default=0.0)
-    micro_p.add_argument("--platform", default="A")
-    micro_p.add_argument("--accesses", type=int, default=120_000)
     micro_p.set_defaults(func=_cmd_micro)
-
-    trace_p = sub.add_parser(
-        "trace", help="run a micro-benchmark cell and dump its event trace"
-    )
-    trace_p.add_argument("--policy", default="nomad")
-    trace_p.add_argument(
-        "--scenario", default="medium", choices=("small", "medium", "large")
-    )
-    trace_p.add_argument("--write-ratio", type=float, default=0.0)
-    trace_p.add_argument("--platform", default="A")
-    trace_p.add_argument("--accesses", type=int, default=60_000)
-    trace_p.add_argument(
-        "--output", default="-", help="output path ('-' for stdout)"
-    )
-    trace_p.add_argument(
-        "--format",
-        default="csv",
-        choices=("csv", "jsonl", "chrome"),
-        help="csv: legacy counter events; jsonl: structured tracepoints; "
-        "chrome: Chrome Trace Event JSON (load in Perfetto)",
-    )
-    trace_p.add_argument(
-        "--sample-period",
-        type=float,
-        default=50_000.0,
-        help="gauge sample period in cycles (jsonl/chrome formats)",
-    )
-    trace_p.set_defaults(func=_cmd_trace)
 
     obs_p = sub.add_parser(
         "obs",
         help="run an instrumented cell and write every observability export",
+        epilog="Spans stitch the tracepoint stream into typed intervals: "
+        "TPM transactions (begin..commit/abort with a copy/protocol "
+        "phase breakdown and per-chunk children), MPQ residencies, "
+        "shadow-page lifetimes, and sync-migration fallbacks. The "
+        "chrome and spans_chrome exports load in Perfetto.",
     )
-    obs_p.add_argument("--policy", default="nomad")
-    obs_p.add_argument(
-        "--scenario", default="medium", choices=("small", "medium", "large")
-    )
-    obs_p.add_argument("--write-ratio", type=float, default=0.3)
-    obs_p.add_argument("--platform", default="A")
-    obs_p.add_argument("--accesses", type=int, default=60_000)
+    _add_cell_options(obs_p)
     obs_p.add_argument("--capacity", type=int, default=65_536)
     obs_p.add_argument(
         "--sample-period",
@@ -689,47 +596,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=100_000.0,
         help="time-series window size in cycles",
     )
+    obs_p.add_argument(
+        "--artifact",
+        default=None,
+        metavar="KIND",
+        help="print this one export (e.g. jsonl, chrome, spans_chrome) to "
+        "stdout instead of writing --output-dir; an unknown KIND lists "
+        "the valid ones",
+    )
     obs_p.set_defaults(func=_cmd_obs)
-
-    spans_p = sub.add_parser(
-        "spans",
-        help="run a cell and dump its stitched lifecycle spans",
-        epilog="Spans stitch the tracepoint stream into typed intervals: "
-        "TPM transactions (begin..commit/abort with a copy/protocol "
-        "phase breakdown and per-chunk children), MPQ residencies, "
-        "shadow-page lifetimes, and sync-migration fallbacks. The "
-        "chrome format loads in Perfetto with one lane per span kind.",
-    )
-    spans_p.add_argument("--policy", default="nomad")
-    spans_p.add_argument(
-        "--scenario", default="medium", choices=("small", "medium", "large")
-    )
-    spans_p.add_argument("--write-ratio", type=float, default=0.3)
-    spans_p.add_argument("--platform", default="A")
-    spans_p.add_argument("--accesses", type=int, default=60_000)
-    spans_p.add_argument("--capacity", type=int, default=16_384)
-    spans_p.add_argument(
-        "--output", default="-", help="output path ('-' for stdout)"
-    )
-    spans_p.add_argument(
-        "--format",
-        default="jsonl",
-        choices=("jsonl", "chrome"),
-        help="jsonl: one span per line; chrome: Perfetto-loadable slices",
-    )
-    spans_p.set_defaults(func=_cmd_spans)
 
     top_p = sub.add_parser(
         "top",
         help="run a cell with a live terminal dashboard (windowed rates)",
     )
-    top_p.add_argument("--policy", default="nomad")
-    top_p.add_argument(
-        "--scenario", default="medium", choices=("small", "medium", "large")
-    )
-    top_p.add_argument("--write-ratio", type=float, default=0.3)
-    top_p.add_argument("--platform", default="A")
-    top_p.add_argument("--accesses", type=int, default=60_000)
+    _add_cell_options(top_p)
     top_p.add_argument(
         "--window",
         type=float,

@@ -3,7 +3,7 @@
 from .folio import Folio
 from .frame import Frame, FrameFlags, compound_head
 from .node import MemoryNode, OutOfMemoryError
-from .tiers import FAST_TIER, SLOW_TIER, TieredMemory
+from .tiers import TieredMemory
 from .topology import TierSpec, TierTopology
 from .xarray import XA_MARK_0, XA_MARK_1, XA_MARK_2, XArray
 
@@ -17,8 +17,6 @@ __all__ = [
     "TieredMemory",
     "TierSpec",
     "TierTopology",
-    "FAST_TIER",
-    "SLOW_TIER",
     "XArray",
     "XA_MARK_0",
     "XA_MARK_1",

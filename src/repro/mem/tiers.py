@@ -18,10 +18,6 @@ bus:
 * :class:`~repro.sim.bus.AllocFail` -- last-ditch reclaim before OOM
   (Nomad frees shadow pages here, targeting 10x the request,
   Section 3.2); subscribers accumulate into ``event.freed``.
-
-``FAST_TIER``/``SLOW_TIER`` are deprecated aliases for the ends of the
-default two-tier chain; new code should use ``0`` and the topology's
-``demotion_target``/``promotion_target`` walk instead.
 """
 
 from __future__ import annotations
@@ -35,13 +31,7 @@ from .frame import Frame
 from .node import MemoryNode, OutOfMemoryError
 from .topology import TierTopology
 
-__all__ = ["TieredMemory", "FAST_TIER", "SLOW_TIER"]
-
-# Deprecated: the ends of the default two-tier chain. Kept so external
-# callers (and the workload setup helpers) don't break; on an N-tier
-# machine SLOW_TIER names the first capacity tier, not the bottom.
-FAST_TIER = 0
-SLOW_TIER = 1
+__all__ = ["TieredMemory"]
 
 
 class TieredMemory:
@@ -107,7 +97,7 @@ class TieredMemory:
     @property
     def slow(self) -> MemoryNode:
         """The first capacity tier (tier 1) -- the paper's slow tier."""
-        return self.nodes[SLOW_TIER]
+        return self.nodes[1]
 
     @property
     def total_pages(self) -> int:
@@ -170,7 +160,7 @@ class TieredMemory:
             self.bus.publish(LowWatermark(tier))
         return head
 
-    def alloc_page(self, preferred: int = FAST_TIER) -> Frame:
+    def alloc_page(self, preferred: int = 0) -> Frame:
         """Allocate with the paper's default placement policy.
 
         Tries the preferred tier, walks the rest of the chain (slower

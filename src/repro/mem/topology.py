@@ -1,11 +1,11 @@
 """Tier topology: an ordered chain of memory tiers.
 
-The paper's machines have exactly two tiers (local DRAM over CXL/PM),
-and historically the whole simulator hardcoded that pair as
-``FAST_TIER``/``SLOW_TIER``. :class:`TierTopology` generalizes the pair
-into an ordered chain -- tier 0 is the fastest, each tier ``k`` demotes
-to ``k + 1``, and the bottom tier has nowhere further down -- so a
-DRAM/CXL/SSD-class machine is just a three-entry chain.
+The paper's machines have exactly two tiers (local DRAM over CXL/PM).
+:class:`TierTopology` generalizes the pair into an ordered chain -- tier
+0 is the fastest, each tier ``k`` demotes to ``k + 1``, and the bottom
+tier has nowhere further down -- so a DRAM/CXL/SSD-class machine is just
+a three-entry chain. Code names a tier by its index in the chain: ``0``
+is the paper's fast tier and ``1`` its slow tier.
 
 Every tier carries its own capacity and Table-1-style performance
 figures (load-to-use latency, single-thread stream bandwidths); the

@@ -17,6 +17,11 @@ Four render targets for the same captured data:
   ``chrome://tracing`` and Perfetto: TPM begin/commit/abort pairs
   become complete ("X") duration slices, other tracepoints instant
   ("i") events, and gauge series counter ("C") tracks.
+
+:data:`OBS_EXPORTS` names every export of one machine -- these four
+plus the span and time-series renderers -- by kind, with its file name.
+:func:`write_obs_outputs` writes each one the machine's enabled layers
+can render; ``repro obs --artifact KIND`` prints one to stdout.
 """
 
 from __future__ import annotations
@@ -26,10 +31,16 @@ import hashlib
 import io
 import json
 import re
-from typing import Any, Dict, Iterable, List, Mapping, Optional, TYPE_CHECKING
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+    TYPE_CHECKING,
+)
 
 from .counters import COUNTERS
 from .sampler import GAUGES
+from .spans import spans_to_chrome, spans_to_jsonl
+from .tenants import tenant_timeseries_to_csv, tenant_timeseries_to_json
+from .timeseries import timeseries_to_csv, timeseries_to_json
 from .tracepoints import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +54,9 @@ __all__ = [
     "gauges_to_csv",
     "prometheus_text",
     "chrome_trace",
+    "OBS_EXPORTS",
+    "obs_artifacts",
+    "render_obs_output",
     "write_obs_outputs",
     "counter_digest",
     "json_digest",
@@ -297,71 +311,59 @@ def chrome_trace(
 
 
 # ----------------------------------------------------------------------
-# Convenience: dump every format for one machine
+# One machine's exports: kind -> file name and renderer
 # ----------------------------------------------------------------------
+# kind -> (file name, the ObsManager layer it renders, renderer). Layer
+# None is the tracepoint ring, there whenever obs is enabled.
+OBS_EXPORTS: Dict[str, Tuple[str, Optional[str], Callable[[Any], str]]] = {
+    "jsonl": ("events.jsonl", None, lambda m: events_to_jsonl(m.obs.records())),
+    "csv": ("events.csv", None, lambda m: events_to_csv(m.obs.records())),
+    "prometheus": ("metrics.prom", None, lambda m: prometheus_text(
+        m.stats, m.obs.sampler, m.obs.histograms)),
+    "chrome": ("trace.json", None, lambda m: json.dumps(chrome_trace(
+        m.obs.records(), m.obs.sampler, m.platform.freq_ghz))),
+    "gauges": ("gauges.csv", "sampler", lambda m: gauges_to_csv(m.obs.sampler)),
+    "spans": ("spans.jsonl", "spans",
+              lambda m: spans_to_jsonl(m.obs.spans.spans())),
+    "spans_chrome": ("spans_trace.json", "spans", lambda m: json.dumps(
+        spans_to_chrome(m.obs.spans.spans(), m.platform.freq_ghz))),
+    "timeseries": ("timeseries.csv", "timeseries",
+                   lambda m: timeseries_to_csv(m.obs.timeseries)),
+    "timeseries_json": ("timeseries.json", "timeseries",
+                        lambda m: timeseries_to_json(m.obs.timeseries)),
+    "tenant_timeseries": ("tenant_timeseries.csv", "tenant_series",
+                          lambda m: tenant_timeseries_to_csv(m.obs.tenant_series)),
+    "tenant_timeseries_json": ("tenant_timeseries.json", "tenant_series",
+                               lambda m: tenant_timeseries_to_json(m.obs.tenant_series)),
+}
+
+
+def obs_artifacts(machine) -> List[str]:
+    """The export kinds ``machine``'s enabled obs layers can render."""
+    obs = machine.obs
+    return [
+        kind for kind, (_, layer, _) in OBS_EXPORTS.items()
+        if layer is None or getattr(obs, layer) is not None
+    ]
+
+
+def render_obs_output(machine, kind: str) -> str:
+    """Render one export kind (see :data:`OBS_EXPORTS`) as text."""
+    return OBS_EXPORTS[kind][2](machine)
+
+
 def write_obs_outputs(machine, out_dir) -> Dict[str, str]:
-    """Write all exporter outputs for ``machine`` into ``out_dir``.
+    """Write every export ``machine`` can render into ``out_dir``.
 
     Returns ``{kind: path}``. Requires ``machine.obs`` to have been
     enabled before the run.
     """
     import os
 
-    obs = machine.obs
     os.makedirs(out_dir, exist_ok=True)
-    records = obs.records()
-    paths = {
-        "jsonl": os.path.join(out_dir, "events.jsonl"),
-        "csv": os.path.join(out_dir, "events.csv"),
-        "prometheus": os.path.join(out_dir, "metrics.prom"),
-        "chrome": os.path.join(out_dir, "trace.json"),
-    }
-    with open(paths["jsonl"], "w") as f:
-        f.write(events_to_jsonl(records))
-    with open(paths["csv"], "w") as f:
-        f.write(events_to_csv(records))
-    with open(paths["prometheus"], "w") as f:
-        f.write(prometheus_text(machine.stats, obs.sampler, obs.histograms))
-    with open(paths["chrome"], "w") as f:
-        json.dump(
-            chrome_trace(records, obs.sampler, machine.platform.freq_ghz), f
-        )
-    if obs.sampler is not None:
-        paths["gauges"] = os.path.join(out_dir, "gauges.csv")
-        with open(paths["gauges"], "w") as f:
-            f.write(gauges_to_csv(obs.sampler))
-    if obs.spans is not None:
-        from .spans import spans_to_chrome, spans_to_jsonl
-
-        spans = obs.spans.spans()
-        paths["spans"] = os.path.join(out_dir, "spans.jsonl")
-        with open(paths["spans"], "w") as f:
-            f.write(spans_to_jsonl(spans))
-        paths["spans_chrome"] = os.path.join(out_dir, "spans_trace.json")
-        with open(paths["spans_chrome"], "w") as f:
-            json.dump(
-                spans_to_chrome(spans, machine.platform.freq_ghz), f
-            )
-    if obs.timeseries is not None:
-        from .timeseries import timeseries_to_csv, timeseries_to_json
-
-        paths["timeseries"] = os.path.join(out_dir, "timeseries.csv")
-        with open(paths["timeseries"], "w") as f:
-            f.write(timeseries_to_csv(obs.timeseries))
-        paths["timeseries_json"] = os.path.join(out_dir, "timeseries.json")
-        with open(paths["timeseries_json"], "w") as f:
-            f.write(timeseries_to_json(obs.timeseries))
-    if obs.tenant_series is not None:
-        from .tenants import tenant_timeseries_to_csv, tenant_timeseries_to_json
-
-        paths["tenant_timeseries"] = os.path.join(
-            out_dir, "tenant_timeseries.csv"
-        )
-        with open(paths["tenant_timeseries"], "w") as f:
-            f.write(tenant_timeseries_to_csv(obs.tenant_series))
-        paths["tenant_timeseries_json"] = os.path.join(
-            out_dir, "tenant_timeseries.json"
-        )
-        with open(paths["tenant_timeseries_json"], "w") as f:
-            f.write(tenant_timeseries_to_json(obs.tenant_series))
+    paths = {}
+    for kind in obs_artifacts(machine):
+        paths[kind] = os.path.join(out_dir, OBS_EXPORTS[kind][0])
+        with open(paths[kind], "w") as f:
+            f.write(render_obs_output(machine, kind))
     return paths

@@ -98,18 +98,14 @@ def _fastpath_total(machine: "Machine", attr: str) -> Optional[float]:
 
 def default_gauges() -> Dict[str, Gauge]:
     """The standard gauge set; every name appears in :data:`GAUGES`."""
-    # Imported lazily: repro.mem.tiers itself imports repro.sim, which
-    # (via Stats -> obs.hist) initialises this package.
-    from ..mem.tiers import FAST_TIER, SLOW_TIER
-
     return {
         "mem.fast_free_pages": lambda m: float(m.tiers.fast.nr_free),
         "mem.slow_free_pages": lambda m: float(m.tiers.slow.nr_free),
         "mem.tier2_free_pages": lambda m: _tier_free(m, 2),
-        "lru.fast_active": lambda m: float(m.lru.nr_active(FAST_TIER)),
-        "lru.fast_inactive": lambda m: float(m.lru.nr_inactive(FAST_TIER)),
-        "lru.slow_active": lambda m: float(m.lru.nr_active(SLOW_TIER)),
-        "lru.slow_inactive": lambda m: float(m.lru.nr_inactive(SLOW_TIER)),
+        "lru.fast_active": lambda m: float(m.lru.nr_active(0)),
+        "lru.fast_inactive": lambda m: float(m.lru.nr_inactive(0)),
+        "lru.slow_active": lambda m: float(m.lru.nr_active(1)),
+        "lru.slow_inactive": lambda m: float(m.lru.nr_inactive(1)),
         "lru.tier2_active": lambda m: _tier_lru(m, 2, True),
         "lru.tier2_inactive": lambda m: _tier_lru(m, 2, False),
         "nomad.mpq_depth": _mpq_depth,

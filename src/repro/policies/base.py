@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from ..mem.frame import Frame
-from ..mem.tiers import FAST_TIER
 from ..mmu.faults import Fault, UnhandledFault
 from ..sim.bus import (
     AllocFail,
@@ -115,7 +114,7 @@ class TieringPolicy:
     # -- placement ---------------------------------------------------------
     def alloc_preference(self, fault: Fault) -> int:
         """Preferred tier for demand paging (default: fast first)."""
-        return FAST_TIER
+        return 0
 
     def on_demand_page(self, fault: Fault, frame: Frame) -> None:
         """Notification after a first-touch allocation."""

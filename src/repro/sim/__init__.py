@@ -29,7 +29,6 @@ from .platform import (
     platform_d,
 )
 from .stats import PhaseReport, Stats, WindowSample
-from .trace import DEFAULT_TRACED, TraceEvent, TraceRecorder
 
 __all__ = [
     "Engine",
@@ -66,7 +65,4 @@ __all__ = [
     "Stats",
     "PhaseReport",
     "WindowSample",
-    "TraceRecorder",
-    "TraceEvent",
-    "DEFAULT_TRACED",
 ]

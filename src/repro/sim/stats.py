@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -122,38 +122,15 @@ class Stats:
             "fault.total",
         )
         self._marks: Dict[str, Tuple[float, Dict[str, float]]] = {}
-        self._bump_listeners: List[Callable[[str, float], None]] = []
 
     # ------------------------------------------------------------------
     # Counters
     # ------------------------------------------------------------------
     def bump(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] += amount
-        for listener in self._bump_listeners:
-            listener(name, amount)
 
     def get(self, name: str) -> float:
         return self.counters.get(name, 0.0)
-
-    def subscribe_bumps(
-        self, listener: Callable[[str, float], None]
-    ) -> Callable[[str, float], None]:
-        """Call ``listener(name, amount)`` after every bump.
-
-        This is the supported way to observe counter activity (the trace
-        recorder uses it); unlike the monkey-patching it replaced, any
-        number of listeners can attach and detach in any order. Returns
-        ``listener`` as the handle for :meth:`unsubscribe_bumps`.
-        """
-        self._bump_listeners.append(listener)
-        return listener
-
-    def unsubscribe_bumps(self, listener: Callable[[str, float], None]) -> None:
-        """Remove a bump listener (idempotent, order-independent)."""
-        try:
-            self._bump_listeners.remove(listener)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------
     # CPU time breakdown

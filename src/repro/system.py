@@ -34,7 +34,7 @@ from .kernel.reclaim import Kswapd
 import numpy as np
 
 from .mem.frame import Frame, FrameFlags
-from .mem.tiers import FAST_TIER, TieredMemory
+from .mem.tiers import TieredMemory
 from .mmu.access import AccessEngine
 from .mmu.address_space import AddressSpace
 from .mmu.faults import Fault, FaultType, UnhandledFault
@@ -323,7 +323,7 @@ class Machine:
 
     def _demand_page(self, fault: Fault, cpu: Cpu) -> float:
         """First-touch allocation with the default placement policy."""
-        preferred = FAST_TIER
+        preferred = 0
         if self.policy is not None:
             preferred = self.policy.alloc_preference(fault)
         head_vpn = self.thp_head_vpn(fault.space, fault.vpn)

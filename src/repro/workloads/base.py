@@ -168,5 +168,16 @@ class Workload:
     def _populate(self, vpns, tier: int, writable: bool = True) -> int:
         return self.machine.populate(self.space, vpns, tier, writable)
 
+    def _place_fast_first(self, vpns, n_fast: Optional[int] = None) -> None:
+        """The paper's initial placement: fast tier first, then slow.
+
+        Populates the first ``n_fast`` vpns on tier 0 and the rest on
+        tier 1. ``n_fast`` defaults to tier 0's free frames at the call.
+        """
+        if n_fast is None:
+            n_fast = self.machine.tiers.fast.nr_free
+        self._populate(vpns[:n_fast], 0)
+        self._populate(vpns[n_fast:], 1)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} accesses={self.total_accesses}>"

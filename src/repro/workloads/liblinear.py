@@ -21,7 +21,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..mem.tiers import FAST_TIER, SLOW_TIER
 from ..sim.platform import gb_to_pages
 from .base import Workload
 
@@ -69,13 +68,9 @@ class LiblinearWorkload(Workload):
         data = self.space.mmap(self.data_pages, name="data")
         self._model_start = model.start
         self._data_start = data.start
-        all_vpns = np.concatenate(
-            [np.asarray(model.vpns()), np.asarray(data.vpns())]
+        self._place_fast_first(
+            np.concatenate([np.asarray(model.vpns()), np.asarray(data.vpns())])
         )
-        fast_room = self.machine.tiers.fast.nr_free
-        n_fast = min(fast_room, len(all_vpns))
-        self._populate(all_vpns[:n_fast], FAST_TIER)
-        self._populate(all_vpns[n_fast:], SLOW_TIER)
         if self.demote_all:
             self.machine.demote_all(self.space)
 

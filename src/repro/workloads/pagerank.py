@@ -25,7 +25,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..mem.tiers import FAST_TIER, SLOW_TIER
 from ..sim.platform import gb_to_pages
 from .base import Workload
 
@@ -71,17 +70,15 @@ class PageRankWorkload(Workload):
         self._edge_start = edges.start
         self._rank_start = ranks.start
         self._next_rank_start = next_ranks.start
-        all_vpns = np.concatenate(
-            [
-                np.asarray(ranks.vpns()),
-                np.asarray(next_ranks.vpns()),
-                np.asarray(edges.vpns()),
-            ]
+        self._place_fast_first(
+            np.concatenate(
+                [
+                    np.asarray(ranks.vpns()),
+                    np.asarray(next_ranks.vpns()),
+                    np.asarray(edges.vpns()),
+                ]
+            )
         )
-        fast_room = self.machine.tiers.fast.nr_free
-        n_fast = min(fast_room, len(all_vpns))
-        self._populate(all_vpns[:n_fast], FAST_TIER)
-        self._populate(all_vpns[n_fast:], SLOW_TIER)
         if self.demote_all:
             self.machine.demote_all(self.space)
 

@@ -18,7 +18,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..mem.tiers import FAST_TIER, SLOW_TIER
 from ..sim.platform import gb_to_pages
 from .base import Workload, ZipfGenerator
 
@@ -61,11 +60,7 @@ class PointerChase(Workload):
         # (block hotness rank -> physical block via permutation).
         self._block_perm = self.rng.permutation(self.nr_blocks)
         self._zipf = ZipfGenerator(self.nr_blocks, self.theta, self.seed + 1)
-        fast_room = self.machine.tiers.fast.nr_free
-        vpns = vma.start + np.arange(self.wss_pages)
-        n_fast = min(fast_room, self.wss_pages)
-        self._populate(vpns[:n_fast], FAST_TIER)
-        self._populate(vpns[n_fast:], SLOW_TIER)
+        self._place_fast_first(vma.start + np.arange(self.wss_pages))
 
     def generate(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         block_ranks = self._zipf.sample(n)

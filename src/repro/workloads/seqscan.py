@@ -12,7 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..mem.tiers import FAST_TIER, SLOW_TIER
 from ..sim.platform import gb_to_pages
 from .base import Workload
 
@@ -45,11 +44,7 @@ class SeqScanWorkload(Workload):
     def setup(self) -> None:
         vma = self.space.mmap(self.rss_pages, name="scan-area", thp=self.thp)
         self._start = vma.start
-        vpns = np.asarray(vma.vpns())
-        fast_room = self.machine.tiers.fast.nr_free
-        n_fast = min(fast_room, len(vpns))
-        self._populate(vpns[:n_fast], FAST_TIER)
-        self._populate(vpns[n_fast:], SLOW_TIER)
+        self._place_fast_first(np.asarray(vma.vpns()))
 
     def generate(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         idx = (self._cursor + np.arange(n) * self.stride_pages) % self.rss_pages

@@ -26,7 +26,6 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..mem.tiers import FAST_TIER, SLOW_TIER
 from .base import Workload
 from .trace_store import MANIFEST_NAME, TraceManifest
 
@@ -81,10 +80,10 @@ class _TraceReplayBase(Workload):
             self.space.mmap(self.vpn_base, name="pad")
         vma = self.space.mmap(self.nr_pages, name="trace")
         self._start = vma.start
-        vpns = np.asarray(list(vma.vpns()))
-        split = int(self.nr_pages * self.fast_fraction)
-        self._populate(vpns[:split], FAST_TIER)
-        self._populate(vpns[split:], SLOW_TIER)
+        self._place_fast_first(
+            np.asarray(list(vma.vpns())),
+            int(self.nr_pages * self.fast_fraction),
+        )
 
 
 class TraceWorkload(_TraceReplayBase):

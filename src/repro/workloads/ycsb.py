@@ -20,7 +20,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..mem.tiers import FAST_TIER, SLOW_TIER
 from .base import Workload, ZipfGenerator
 from .kvstore import KvStoreLayout
 
@@ -87,13 +86,9 @@ class YcsbWorkload(Workload):
         self._index_start = index.start
         self._value_start = values.start
         # Loading phase fills fast memory first, spilling to slow.
-        all_vpns = np.concatenate(
-            [np.asarray(index.vpns()), np.asarray(values.vpns())]
+        self._place_fast_first(
+            np.concatenate([np.asarray(index.vpns()), np.asarray(values.vpns())])
         )
-        fast_room = self.machine.tiers.fast.nr_free
-        n_fast = min(fast_room, len(all_vpns))
-        self._populate(all_vpns[:n_fast], FAST_TIER)
-        self._populate(all_vpns[n_fast:], SLOW_TIER)
         if self.demote_all:
             self.machine.demote_all(self.space)
         # YCSB scrambled zipfian: hot ranks spread over the keyspace.

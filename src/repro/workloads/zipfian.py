@@ -22,7 +22,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..mem.tiers import FAST_TIER, SLOW_TIER
 from ..sim.platform import gb_to_pages
 from .base import Workload, ZipfGenerator
 
@@ -88,11 +87,10 @@ class ZipfianMicrobench(Workload):
             prefill = self.space.mmap(
                 self.prefill_pages, name="prefill", thp=self.thp
             )
-            self._populate(prefill.vpns(), FAST_TIER)
+            self._populate(prefill.vpns(), 0)
         wss = self.space.mmap(self.wss_pages, name="wss", thp=self.thp)
         self._wss_start = wss.start
 
-        fast_room = self.machine.tiers.fast.nr_free
         if self.placement == "frequency-opt":
             # Hottest pages first into fast memory.
             order = np.empty(self.wss_pages, dtype=np.int64)
@@ -103,9 +101,7 @@ class ZipfianMicrobench(Workload):
         else:  # "layout": virtual-address order, as in Section 4.1
             vpn_order = wss.start + np.arange(self.wss_pages)
 
-        n_fast = min(fast_room, self.wss_pages)
-        self._populate(vpn_order[:n_fast], FAST_TIER)
-        self._populate(vpn_order[n_fast:], SLOW_TIER)
+        self._place_fast_first(vpn_order)
 
     # ------------------------------------------------------------------
     def generate(self, n: int) -> Tuple[np.ndarray, np.ndarray]:

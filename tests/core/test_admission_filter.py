@@ -9,7 +9,6 @@ is -- the filter cannot reorder or mutate the pipeline, only veto.
 import numpy as np
 
 from repro.core.nomad import NomadPolicy
-from repro.mem.tiers import SLOW_TIER
 from repro.mmu.pte import PTE_PROT_NONE
 
 from ..conftest import make_machine
@@ -26,7 +25,7 @@ def build(**policy_kwargs):
 def drive_candidate(m, space):
     """Fault a slow page into the PCQ, re-touch it, trigger the scan."""
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     vpn = vma.start
     space.page_table.set_flags(vpn, PTE_PROT_NONE)
 
@@ -43,7 +42,7 @@ def drive_candidate(m, space):
     touch(vpn)  # reuse evidence
     # Another page's fault triggers the PCQ scan.
     other = space.mmap(1).start
-    m.populate(space, [other], SLOW_TIER)
+    m.populate(space, [other], 1)
     space.page_table.set_flags(other, PTE_PROT_NONE)
     touch(other)
     m.engine.run(until=m.engine.now + 10_000_000)
@@ -56,7 +55,7 @@ def test_rejecting_filter_blocks_promotion():
     assert m.stats.get("nomad.admission_rejected") >= 1
     assert len(policy.mpq) == 0
     assert m.stats.get("migrate.promotions") == 0
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 1
 
 
 def test_filter_sees_source_and_destination_tiers():
@@ -68,7 +67,7 @@ def test_filter_sees_source_and_destination_tiers():
 
     m, policy, space = build(admission_filter=spy)
     vpn = drive_candidate(m, space)
-    assert any(entry == (vpn, SLOW_TIER, 0) for entry in seen)
+    assert any(entry == (vpn, 1, 0) for entry in seen)
     # An admitting filter leaves the pipeline behaviour unchanged.
     assert m.stats.get("nomad.admission_rejected") == 0
     assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 0

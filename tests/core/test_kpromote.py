@@ -1,8 +1,6 @@
 """kpromote: the background promotion daemon."""
 
 from repro.core.nomad import NomadPolicy
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
-
 from ..conftest import make_machine
 
 
@@ -29,7 +27,7 @@ def enqueue_directly(m, policy, space, vpn):
 def test_daemon_drains_queue():
     m, policy, space = build()
     vma = space.mmap(4)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     for vpn in vma.vpns():
         enqueue_directly(m, policy, space, vpn)
     m.engine.run(until=10_000_000)
@@ -37,7 +35,7 @@ def test_daemon_drains_queue():
     assert m.stats.get("nomad.tpm_commits") == 4
     pt = space.page_table
     for vpn in vma.vpns():
-        assert m.tiers.tier_of(int(pt.gpfn[vpn])) == FAST_TIER
+        assert m.tiers.tier_of(int(pt.gpfn[vpn])) == 0
 
 
 def test_daemon_sleeps_when_idle():
@@ -50,7 +48,7 @@ def test_daemon_sleeps_when_idle():
 def test_stale_requests_are_skipped():
     m, policy, space = build()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     frame, request = enqueue_directly(m, policy, space, vma.start)
     request.generation -= 1
     m.engine.run(until=1_000_000)
@@ -61,9 +59,9 @@ def test_stale_requests_are_skipped():
 def test_nomem_requeues_with_bounded_attempts():
     m, policy, space = build()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     while m.tiers.fast.nr_free:
-        m.tiers.alloc_on(FAST_TIER)
+        m.tiers.alloc_on(0)
     enqueue_directly(m, policy, space, vma.start)
     m.engine.run(until=20_000_000)
     # The transaction failed on allocation and was retried until the
@@ -75,7 +73,7 @@ def test_nomem_requeues_with_bounded_attempts():
 def test_work_runs_on_kpromote_core_not_app():
     m, policy, space = build()
     vma = space.mmap(2)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     for vpn in vma.vpns():
         enqueue_directly(m, policy, space, vpn)
     m.engine.run(until=10_000_000)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.core.nomad import NomadPolicy
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.faults import UnhandledFault
 from repro.mmu.pte import PTE_PROT_NONE, PTE_SOFT_SHADOW_RW
 
@@ -22,7 +21,7 @@ def build(machine=None, **policy_kwargs):
 
 def slow_page(m, space, n=1):
     vma = space.mmap(n)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     return list(vma.vpns())
 
 
@@ -50,7 +49,7 @@ def test_hint_fault_unprotects_without_migrating():
     assert not space.page_table.is_prot_none(vpn)
     # No migration happened on the critical path.
     assert m.stats.get("migrate.promotions") == 0
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 1
 
 
 def test_one_fault_per_migration():
@@ -68,7 +67,7 @@ def test_one_fault_per_migration():
     touch(m, space, [other])
     m.engine.run(until=m.engine.now + 10_000_000)
     assert m.stats.get("fault.hint") == 2  # one per page
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == FAST_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 0
     assert m.stats.get("nomad.tpm_commits") == 1
 
 
@@ -83,7 +82,7 @@ def test_untouched_candidate_is_not_promoted():
     arm(space, other)
     touch(m, space, [other])
     m.engine.run(until=m.engine.now + 5_000_000)
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 1
 
 
 def promote_page(m, policy, space, vpn):
@@ -96,7 +95,7 @@ def promote_page(m, policy, space, vpn):
     arm(space, helper)
     touch(m, space, [helper])
     m.engine.run(until=m.engine.now + 10_000_000)
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == FAST_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 0
 
 
 def test_shadow_fault_restores_write_and_discards_shadow():
@@ -125,7 +124,7 @@ def test_reads_on_master_take_no_fault():
 def test_wp_fault_on_unshadowed_readonly_page_raises():
     m, policy, space = build()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER, writable=False)
+    m.populate(space, [vma.start], 0, writable=False)
     with pytest.raises(UnhandledFault):
         touch(m, space, [vma.start], write=True)
 
@@ -143,14 +142,14 @@ def test_remap_demotion_needs_no_copy():
     assert m.stats.get("nomad.remap_demotions") == 1
     # Page is back on the slow tier with write permission restored.
     pt = space.page_table
-    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == 1
     assert pt.is_writable(vpn)
     # Cheaper than a copy demotion (which pays setup + allocation + the
     # page copy itself).
     copy_demotion = (
         m.costs.migrate_setup
         + m.costs.alloc_page
-        + m.costs.page_copy_cycles(FAST_TIER, SLOW_TIER)
+        + m.costs.page_copy_cycles(0, 1)
     )
     assert cycles < copy_demotion
 
@@ -169,7 +168,7 @@ def test_remap_demotion_frees_the_master_frame():
 def test_demotion_of_unshadowed_page_copies():
     m, policy, space = build()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     frame = m.tiers.frame(int(space.page_table.gpfn[vma.start]))
     ok, _ = policy.demote_page(frame, m.cpus.get("kswapd0"))
     assert ok
@@ -182,11 +181,11 @@ def test_reclaim_hint_frees_shadows_on_slow_node():
     for vpn in vpns:
         promote_page(m, policy, space, vpn)
     assert policy.shadow_index.nr_shadows == 3
-    freed, cycles = policy.reclaim_hint(SLOW_TIER, 2, m.cpus.get("kswapd1"))
+    freed, cycles = policy.reclaim_hint(1, 2, m.cpus.get("kswapd1"))
     assert freed == 2
     assert policy.shadow_index.nr_shadows == 1
     # Fast node gets no shadow help (shadows live on the slow tier).
-    assert policy.reclaim_hint(FAST_TIER, 2, m.cpus.get("kswapd0")) == (0, 0.0)
+    assert policy.reclaim_hint(0, 2, m.cpus.get("kswapd0")) == (0, 0.0)
 
 
 def test_alloc_fail_reclaims_10x():
@@ -196,7 +195,7 @@ def test_alloc_fail_reclaims_10x():
         promote_page(m, policy, space, vpn)
     before = policy.shadow_index.nr_shadows
     assert before == 15
-    freed = policy.on_alloc_fail(SLOW_TIER, 1)
+    freed = policy.on_alloc_fail(1, 1)
     assert freed == 10  # 10x the request (Section 3.2)
     assert policy.shadow_index.nr_shadows == before - 10
 
@@ -209,7 +208,7 @@ def test_on_frame_replaced_rekeys_shadow():
     shadow = policy.shadow_index.lookup(master)
     from repro.kernel.migrate import sync_migrate_page
 
-    result = sync_migrate_page(m, master, SLOW_TIER, m.cpus.get("c"), "demotion")
+    result = sync_migrate_page(m, master, 1, m.cpus.get("c"), "demotion")
     assert result.success
     assert policy.shadow_index.lookup(result.new_frame) is shadow
 
@@ -234,7 +233,7 @@ def test_multimapped_page_falls_back_to_sync():
     m.engine.run(until=m.engine.now + 10_000_000)
     assert m.stats.get("nomad.sync_fallbacks") == 1
     assert m.stats.get("nomad.tpm_commits") == 0
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == FAST_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 0
 
 
 def test_shadowing_disabled_ablation():
@@ -254,7 +253,7 @@ def test_tpm_disabled_ablation_promotes_synchronously():
     arm(space, vpn)
     touch(m, space, [vpn])
     # Promotion happened inside the fault, no kpromote involved.
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == FAST_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 0
     assert m.stats.get("nomad.tpm_commits") == 0
     # Shadow still created by the shadow-aware sync path.
     assert policy.shadow_index.nr_shadows == 1

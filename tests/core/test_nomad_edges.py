@@ -5,7 +5,6 @@ import numpy as np
 
 from repro.core.nomad import NomadPolicy
 from repro.mem.frame import FrameFlags
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.pte import PTE_PROT_NONE
 
 from ..conftest import make_machine
@@ -29,7 +28,7 @@ def touch(m, space, vpns, write=False):
 def test_pcq_eviction_under_fault_flood():
     m, policy, space = build(pcq_capacity=8)
     vma = space.mmap(32)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     for vpn in vma.vpns():
         space.page_table.set_flags(vpn, PTE_PROT_NONE)
         touch(m, space, [vpn])
@@ -40,7 +39,7 @@ def test_pcq_eviction_under_fault_flood():
 def test_hint_fault_on_fast_page_is_cheap_noop():
     m, policy, space = build()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     space.page_table.set_flags(vma.start, PTE_PROT_NONE)
     result = touch(m, space, [vma.start])
     assert result.faults == 1
@@ -55,13 +54,13 @@ def test_slow_node_pressure_reclaims_shadows_via_kswapd():
     # Manufacture shadows directly through the index.
     masters, shadows = [], []
     for _ in range(12):
-        master = m.tiers.alloc_on(FAST_TIER)
-        shadow = m.tiers.alloc_on(SLOW_TIER)
+        master = m.tiers.alloc_on(0)
+        shadow = m.tiers.alloc_on(1)
         policy.shadow_index.insert(master, shadow)
     # Drain the slow node below its low watermark.
     hold = []
     while m.tiers.slow.nr_free >= m.tiers.slow.wmark_low:
-        hold.append(m.tiers.alloc_on(SLOW_TIER))
+        hold.append(m.tiers.alloc_on(1))
     m.engine.run(until=5_000_000)
     assert m.stats.get("nomad.shadows_reclaimed") > 0
     assert policy.shadow_index.nr_shadows < 12
@@ -70,8 +69,8 @@ def test_slow_node_pressure_reclaims_shadows_via_kswapd():
 def test_remap_demote_declines_for_multimapped_master():
     m, policy, space = build()
     other = m.create_space("o")
-    master = m.tiers.alloc_on(FAST_TIER)
-    shadow = m.tiers.alloc_on(SLOW_TIER)
+    master = m.tiers.alloc_on(0)
+    shadow = m.tiers.alloc_on(1)
     vma = space.mmap(1)
     ovma = other.mmap(1)
     gpfn = m.tiers.gpfn(master)
@@ -88,8 +87,8 @@ def test_remap_demote_declines_for_multimapped_master():
 
 def test_remap_demote_declines_for_locked_master():
     m, policy, space = build()
-    master = m.tiers.alloc_on(FAST_TIER)
-    shadow = m.tiers.alloc_on(SLOW_TIER)
+    master = m.tiers.alloc_on(0)
+    shadow = m.tiers.alloc_on(1)
     vma = space.mmap(1)
     space.page_table.map(vma.start, m.tiers.gpfn(master), 0)
     master.add_rmap(space, vma.start)
@@ -102,13 +101,13 @@ def test_remap_demote_declines_for_locked_master():
 
 def test_alloc_fail_with_no_shadows_returns_zero():
     m, policy, space = build()
-    assert policy.on_alloc_fail(FAST_TIER, 1) == 0
+    assert policy.on_alloc_fail(0, 1) == 0
 
 
 def test_mpq_capacity_drops_excess_hot_pages():
     m, policy, space = build(mpq_capacity=2, pcq_capacity=64, pcq_scan_limit=64)
     vma = space.mmap(8)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     from repro.core.queues import MigrationRequest
 
     for vpn in vma.vpns():
@@ -122,8 +121,8 @@ def test_shadowed_master_survives_kswapd_copy_demotion_path():
     """If stock migration demotes a shadowed master (e.g. via the Memtis
     valve or fallback), the shadow index follows the frame."""
     m, policy, space = build()
-    master = m.tiers.alloc_on(FAST_TIER)
-    shadow = m.tiers.alloc_on(SLOW_TIER)
+    master = m.tiers.alloc_on(0)
+    shadow = m.tiers.alloc_on(1)
     vma = space.mmap(1)
     space.page_table.map(vma.start, m.tiers.gpfn(master), 0)
     master.add_rmap(space, vma.start)
@@ -132,7 +131,7 @@ def test_shadowed_master_survives_kswapd_copy_demotion_path():
 
     from repro.kernel.migrate import sync_migrate_page
 
-    result = sync_migrate_page(m, master, SLOW_TIER, m.cpus.get("c"), "demotion")
+    result = sync_migrate_page(m, master, 1, m.cpus.get("c"), "demotion")
     assert result.success
     assert policy.shadow_index.lookup(result.new_frame) is shadow
     assert result.new_frame.shadowed
@@ -145,8 +144,8 @@ def test_wp_fault_after_shadow_reclaim_does_not_fire():
     m, policy, space = build()
     from repro.mmu.pte import PTE_SOFT_SHADOW_RW
 
-    master = m.tiers.alloc_on(FAST_TIER)
-    shadow = m.tiers.alloc_on(SLOW_TIER)
+    master = m.tiers.alloc_on(0)
+    shadow = m.tiers.alloc_on(1)
     vma = space.mmap(1)
     space.page_table.map(vma.start, m.tiers.gpfn(master), PTE_SOFT_SHADOW_RW)
     master.add_rmap(space, vma.start)

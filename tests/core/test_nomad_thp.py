@@ -5,7 +5,6 @@ demotion of shadowed folios."""
 import numpy as np
 
 from repro.core.nomad import NomadPolicy
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.pte import PTE_PROT_NONE, PTE_SOFT_SHADOW_RW
 
 from ..conftest import make_machine
@@ -21,7 +20,7 @@ def build(**policy_kwargs):
 
 def slow_folio(m, space):
     vma = space.mmap(m.folio_pages, thp=True)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     return vma.start
 
 
@@ -65,7 +64,7 @@ def test_folio_hint_fault_disarms_whole_block_without_migrating():
     for off in range(m.folio_pages):
         assert not pt.is_prot_none(head + off)
     assert m.stats.get("migrate.promotions") == 0
-    assert folio_tiers(m, space, head) == {SLOW_TIER}
+    assert folio_tiers(m, space, head) == {1}
 
 
 def promote_folio(m, policy, space, head):
@@ -79,7 +78,7 @@ def promote_folio(m, policy, space, head):
     arm_folio(m, space, helper)
     touch(m, space, [helper])
     m.engine.run(until=m.engine.now + 20_000_000)
-    assert folio_tiers(m, space, head) == {FAST_TIER}
+    assert folio_tiers(m, space, head) == {0}
 
 
 def test_one_fault_per_folio_migration():
@@ -119,7 +118,7 @@ def test_shadowed_folio_demotes_by_remap_without_copy():
     fast_free = m.tiers.fast.nr_free
     ok, cycles = policy.demote_page(master, m.cpus.get("kswapd0"))
     assert ok
-    assert folio_tiers(m, space, head) == {SLOW_TIER}
+    assert folio_tiers(m, space, head) == {1}
     pt = space.page_table
     for off in range(m.folio_pages):
         assert pt.is_huge(head + off)
@@ -140,6 +139,6 @@ def test_wants_split_only_for_unshadowed_huge_frames():
     assert master.shadowed
     assert not policy.wants_split(master)  # remap demotion is free
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     base = m.tiers.frame(int(space.page_table.gpfn[vma.start]))
     assert not policy.wants_split(base)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.shadow import ShadowIndex
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.pte import PTE_SOFT_SHADOW_RW
 from repro.sim.costs import PAGE_SIZE
 
@@ -12,8 +11,8 @@ from ..conftest import make_machine
 
 def make_pair(machine):
     """A fast master frame and a slow shadow frame."""
-    master = machine.tiers.alloc_on(FAST_TIER)
-    shadow = machine.tiers.alloc_on(SLOW_TIER)
+    master = machine.tiers.alloc_on(0)
+    shadow = machine.tiers.alloc_on(1)
     return master, shadow
 
 
@@ -44,7 +43,7 @@ def test_insert_rejects_double_shadowing():
     index = ShadowIndex(m)
     master, shadow = make_pair(m)
     index.insert(master, shadow)
-    other = m.tiers.alloc_on(SLOW_TIER)
+    other = m.tiers.alloc_on(1)
     with pytest.raises(RuntimeError):
         index.insert(master, other)
 
@@ -88,7 +87,7 @@ def test_rekey_follows_master_migration():
     index = ShadowIndex(m)
     master, shadow = make_pair(m)
     index.insert(master, shadow)
-    new_master = m.tiers.alloc_on(FAST_TIER)
+    new_master = m.tiers.alloc_on(0)
     index.rekey(master, new_master)
     assert not master.shadowed
     assert new_master.shadowed

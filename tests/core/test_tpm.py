@@ -6,7 +6,6 @@ from repro.core.queues import MigrationRequest
 from repro.core.shadow import ShadowIndex
 from repro.core.tpm import TpmOutcome, TransactionalMigrator
 from repro.mem.frame import FrameFlags
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.pte import PTE_DIRTY, PTE_PRESENT, PTE_SOFT_SHADOW_RW
 
 from ..conftest import make_machine
@@ -17,7 +16,7 @@ def setup(machine, shadowing=True):
     migrator = TransactionalMigrator(machine, shadow_index, shadowing=shadowing)
     space = machine.create_space()
     vma = space.mmap(4)
-    machine.populate(space, [vma.start], SLOW_TIER)
+    machine.populate(space, [vma.start], 1)
     gpfn = int(space.page_table.gpfn[vma.start])
     frame = machine.tiers.frame(gpfn)
     request = MigrationRequest(frame, space, vma.start, frame.generation)
@@ -46,7 +45,7 @@ def test_commit_moves_page_and_creates_shadow():
     result = drive(m, migrator, request)
     assert result.outcome is TpmOutcome.COMMITTED
     new_gpfn = int(space.page_table.gpfn[vpn])
-    assert m.tiers.tier_of(new_gpfn) == FAST_TIER
+    assert m.tiers.tier_of(new_gpfn) == 0
     # The old frame survives as the shadow copy.
     assert frame.is_shadow
     assert not frame.mapped
@@ -95,7 +94,7 @@ def test_store_during_copy_aborts():
     assert result.outcome is TpmOutcome.ABORTED_DIRTY
     # Original mapping restored verbatim, still on the slow tier.
     assert pt.is_present(vpn)
-    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == 1
     assert pt.is_writable(vpn)
     assert pt.is_dirty(vpn)
     # The allocated fast frame was released; no shadow created.
@@ -119,11 +118,11 @@ def test_nomem_fails_without_side_effects():
     m = make_machine()
     migrator, shadow_index, space, vpn, frame, request = setup(m)
     while m.tiers.fast.nr_free:
-        m.tiers.alloc_on(FAST_TIER)
+        m.tiers.alloc_on(0)
     result = drive(m, migrator, request)
     assert result.outcome is TpmOutcome.FAILED_NOMEM
     assert space.page_table.is_present(vpn)
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 1
     assert not frame.locked
 
 
@@ -181,7 +180,7 @@ def test_cycles_accounted_to_kpromote():
     result = drive(m, migrator, request)
     breakdown = m.stats.breakdown("kpromote")
     assert breakdown.get("tpm_copy", 0) == pytest.approx(
-        m.costs.page_copy_cycles(SLOW_TIER, FAST_TIER)
+        m.costs.page_copy_cycles(1, 0)
     )
     assert sum(breakdown.values()) == pytest.approx(result.cycles)
 
@@ -192,7 +191,7 @@ def test_read_only_page_master_has_no_soft_bit():
     migrator = TransactionalMigrator(m, shadow_index)
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER, writable=False)
+    m.populate(space, [vma.start], 1, writable=False)
     frame = m.tiers.frame(int(space.page_table.gpfn[vma.start]))
     request = MigrationRequest(frame, space, vma.start, frame.generation)
     result = drive(m, migrator, request)

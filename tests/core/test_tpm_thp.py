@@ -16,7 +16,6 @@ import pytest
 from repro.core.queues import MigrationRequest
 from repro.core.shadow import ShadowIndex
 from repro.core.tpm import TpmOutcome, TransactionalMigrator
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.pte import PTE_DIRTY, PTE_SOFT_SHADOW_RW
 
 from ..conftest import make_machine
@@ -34,7 +33,7 @@ def setup_folio(machine, shadowing=True):
     space = machine.create_space()
     fp = machine.folio_pages
     vma = space.mmap(fp, name="thp-area", thp=True)
-    machine.populate(space, [vma.start], SLOW_TIER)
+    machine.populate(space, [vma.start], 1)
     head_vpn = vma.start
     pt = space.page_table
     assert pt.is_huge(head_vpn)
@@ -68,7 +67,7 @@ def copy_window(machine):
         + costs.tlb_flush_local
         + costs.alloc_page
     )
-    chunk = costs.folio_copy_cycles(SLOW_TIER, FAST_TIER, costs.thp_chunk_pages)
+    chunk = costs.folio_copy_cycles(1, 0, costs.thp_chunk_pages)
     return start, chunk
 
 
@@ -88,7 +87,7 @@ def test_folio_commit_moves_whole_folio_and_creates_shadow():
     assert result.outcome is TpmOutcome.COMMITTED
     pt = space.page_table
     for off in range(fp):
-        assert m.tiers.tier_of(int(pt.gpfn[vpn + off])) == FAST_TIER
+        assert m.tiers.tier_of(int(pt.gpfn[vpn + off])) == 0
         assert pt.is_huge(vpn + off)
     # The whole slow folio survives as one shadow.
     assert frame.is_shadow and frame.is_huge
@@ -145,7 +144,7 @@ def test_store_into_any_subpage_during_copy_aborts_via_chunk_check(sub_page):
     for off in range(m.folio_pages):
         assert pt.is_present(vpn + off)
         assert pt.is_huge(vpn + off)
-        assert m.tiers.tier_of(int(pt.gpfn[vpn + off])) == SLOW_TIER
+        assert m.tiers.tier_of(int(pt.gpfn[vpn + off])) == 1
     assert pt.is_writable(vpn)
     # The destination folio was released; no shadow came to exist.
     assert m.tiers.fast.nr_free == m.tiers.fast.nr_pages
@@ -216,12 +215,12 @@ def test_folio_nomem_fails_without_side_effects():
     m = make_thp_machine()
     migrator, _si, space, vpn, frame, request = setup_folio(m)
     while m.tiers.fast.nr_free:
-        m.tiers.alloc_on(FAST_TIER)
+        m.tiers.alloc_on(0)
     result = drive(m, migrator, request)
     assert result.outcome is TpmOutcome.FAILED_NOMEM
     pt = space.page_table
     assert pt.is_present(vpn) and pt.is_huge(vpn)
-    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == 1
     assert not frame.locked
 
 

@@ -14,7 +14,6 @@ from repro.debug.invariants import (
 )
 from repro.kernel.reclaim import MAX_RECLAIM_RETRIES
 from repro.mem.frame import FrameFlags
-from repro.mem.tiers import FAST_TIER
 from repro.mmu.pte import PTE_SOFT_SHADOW_RW, PTE_WRITE
 from repro.policies import make_policy
 
@@ -41,7 +40,7 @@ def nomad_machine():
 def populated(machine, pages=8):
     space = machine.create_space("t")
     vma = space.mmap(pages)
-    machine.populate(space, vma.vpns(), FAST_TIER)
+    machine.populate(space, vma.vpns(), 0)
     return space, vma
 
 
@@ -218,7 +217,7 @@ def test_lru_membership_catches_flagged_but_unlisted_frame():
 def test_lru_membership_catches_active_flag_disagreement():
     machine = nomad_machine()
     populated(machine)
-    listed = next(iter(machine.lru.inactive[FAST_TIER]))
+    listed = next(iter(machine.lru.inactive[0]))
     listed.set_flag(FrameFlags.ACTIVE)
     found = details(machine, "lru.membership")
     assert any("ACTIVE flag disagrees" in d for d in found)
@@ -303,7 +302,7 @@ def parked_kswapd():
     machine.set_policy(make_policy("no-migration", machine))
     populated(machine, pages=machine.tiers.fast.nr_pages)
     machine.engine.run(until=50_000_000)
-    daemon = machine.kswapd[FAST_TIER]
+    daemon = machine.kswapd[0]
     assert daemon.parked_at is not None
     return machine, daemon
 

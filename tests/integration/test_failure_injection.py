@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro import Machine, MachineConfig, OutOfMemoryError
-from repro.mem.tiers import SLOW_TIER
 from repro.policies import make_policy
 from repro.policies.base import TieringPolicy
 from repro.workloads import SeqScanWorkload, ZipfianMicrobench
@@ -66,7 +65,7 @@ def test_policy_exception_propagates_with_state_intact():
     machine.set_policy(Exploding(machine))
     space = machine.create_space()
     vma = space.mmap(4)
-    machine.populate(space, vma.vpns(), SLOW_TIER)
+    machine.populate(space, vma.vpns(), 1)
     from repro.mmu.pte import PTE_PROT_NONE
 
     space.page_table.set_flags(vma.start, PTE_PROT_NONE)
@@ -102,7 +101,7 @@ def test_kpromote_crash_mid_transaction_releases_lock():
     policy = machine.policy
     space = machine.create_space()
     vma = space.mmap(1)
-    machine.populate(space, [vma.start], SLOW_TIER)
+    machine.populate(space, [vma.start], 1)
     frame = machine.tiers.frame(int(space.page_table.gpfn[vma.start]))
     policy.mpq.push(MigrationRequest(frame, space, vma.start, frame.generation))
     policy.kpromote.wake()

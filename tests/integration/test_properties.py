@@ -29,14 +29,12 @@ class RandomTraceWorkload(Workload):
         self._start = 0
 
     def setup(self):
-        from repro.mem.tiers import FAST_TIER, SLOW_TIER
-
         vma = self.space.mmap(self.nr_pages)
         self._start = vma.start
         vpns = np.asarray(list(vma.vpns()))
         split = int(self.nr_pages * self.fast_fraction)
-        self.machine.populate(self.space, vpns[:split], FAST_TIER)
-        self.machine.populate(self.space, vpns[split:], SLOW_TIER)
+        self.machine.populate(self.space, vpns[:split], 0)
+        self.machine.populate(self.space, vpns[split:], 1)
 
     def generate(self, n):
         chunk = self.trace[self._pos : self._pos + n]

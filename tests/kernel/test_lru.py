@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel.lru import PAGEVEC_SIZE, LruManager
-from repro.mem.tiers import FAST_TIER, SLOW_TIER, TieredMemory
+from repro.mem.tiers import TieredMemory
 from repro.mmu.address_space import AddressSpace
 
 
@@ -17,7 +17,7 @@ def lru(tiers):
     return LruManager(tiers)
 
 
-def mapped_frame(tiers, tier=FAST_TIER):
+def mapped_frame(tiers, tier=0):
     frame = tiers.alloc_on(tier)
     frame.add_rmap(AddressSpace(16), 0)
     return frame
@@ -28,7 +28,7 @@ def test_new_pages_go_inactive(lru, tiers):
     lru.add_new_page(frame)
     assert frame.on_lru
     assert not frame.active
-    assert lru.nr_inactive(FAST_TIER) == 1
+    assert lru.nr_inactive(0) == 1
 
 
 def test_double_add_raises(lru, tiers):
@@ -69,8 +69,8 @@ def test_pagevec_drains_at_15(lru, tiers):
         assert not frame.active, f"activated early at request {i + 1}"
     lru.mark_accessed(frame)  # 15th request drains the pagevec
     assert frame.active
-    assert lru.nr_active(FAST_TIER) == 1
-    assert lru.nr_inactive(FAST_TIER) == 0
+    assert lru.nr_active(0) == 1
+    assert lru.nr_inactive(0) == 0
 
 
 def test_mixed_pages_fill_pagevec_faster(lru, tiers):
@@ -118,7 +118,7 @@ def test_deactivate(lru, tiers):
     lru.deactivate(frame)
     assert not frame.active
     assert frame.on_lru
-    assert lru.nr_inactive(FAST_TIER) == 1
+    assert lru.nr_inactive(0) == 1
 
 
 def test_remove(lru, tiers):
@@ -126,25 +126,25 @@ def test_remove(lru, tiers):
     lru.add_new_page(frame)
     lru.remove(frame)
     assert not frame.on_lru
-    assert lru.nr_inactive(FAST_TIER) == 0
+    assert lru.nr_inactive(0) == 0
 
 
 def test_transfer_preserves_list_type(lru, tiers):
-    old = mapped_frame(tiers, FAST_TIER)
-    new = tiers.alloc_on(SLOW_TIER)
+    old = mapped_frame(tiers, 0)
+    new = tiers.alloc_on(1)
     lru.add_new_page(old)
     lru.force_activate(old)
     lru.transfer(old, new)
     assert not old.on_lru
     assert new.on_lru and new.active
-    assert lru.nr_active(SLOW_TIER) == 1
+    assert lru.nr_active(1) == 1
 
 
 def test_inactive_head_batch_is_fifo(lru, tiers):
     frames = [mapped_frame(tiers) for _ in range(5)]
     for frame in frames:
         lru.add_new_page(frame)
-    batch = lru.inactive_head_batch(FAST_TIER, 3)
+    batch = lru.inactive_head_batch(0, 3)
     assert batch == frames[:3]
 
 
@@ -153,7 +153,7 @@ def test_rotate_moves_to_tail(lru, tiers):
     for frame in frames:
         lru.add_new_page(frame)
     lru.rotate(frames[0])
-    batch = lru.inactive_head_batch(FAST_TIER, 3)
+    batch = lru.inactive_head_batch(0, 3)
     assert batch == [frames[1], frames[2], frames[0]]
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.kernel.numa_fault import NumaHintScanner
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.pte import PTE_PROT_NONE
 
 from ..conftest import make_machine
@@ -13,8 +12,8 @@ def build(machine, fast_pages=8, slow_pages=8):
     space = machine.create_space()
     vma = space.mmap(fast_pages + slow_pages)
     vpns = list(vma.vpns())
-    machine.populate(space, vpns[:fast_pages], FAST_TIER)
-    machine.populate(space, vpns[fast_pages:], SLOW_TIER)
+    machine.populate(space, vpns[:fast_pages], 0)
+    machine.populate(space, vpns[fast_pages:], 1)
     return space, vpns
 
 
@@ -60,7 +59,7 @@ def test_scanner_cursor_covers_large_spaces():
     m = make_machine(slow_gb=4.0)
     space = m.create_space()
     vma = space.mmap(600)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     scanner = NumaHintScanner(m, scan_period=1000.0, pages_per_scan=64)
     scanner.start()
     # Enough periods for the windowed cursor to sweep all 600 pages.

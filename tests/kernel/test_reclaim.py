@@ -1,7 +1,6 @@
 """kswapd: watermark-driven reclaim with policy demotion."""
 
 from repro.kernel.reclaim import MAX_RECLAIM_RETRIES
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.policies import make_policy
 from repro.sim.bus import LowWatermark
 
@@ -11,7 +10,7 @@ from ..conftest import make_machine
 def fill_fast_with_cold_pages(machine, space):
     """Map pages covering the whole fast tier (inactive, never accessed)."""
     vma = space.mmap(machine.tiers.fast.nr_pages)
-    machine.populate(space, vma.vpns(), FAST_TIER)
+    machine.populate(space, vma.vpns(), 0)
     return vma
 
 
@@ -32,13 +31,13 @@ def full_fast_machine(policy, slow_free=None):
     """
     m = make_machine()
     m.set_policy(make_policy(policy, m))
-    m.kswapd[SLOW_TIER].stop()
+    m.kswapd[1].stop()
     fill_fast_with_cold_pages(m, m.create_space())
     held = []
     if slow_free is not None:
         while m.tiers.slow.nr_free > slow_free:
-            held.append(m.tiers.alloc_on(SLOW_TIER))
-    return m, m.kswapd[FAST_TIER], held
+            held.append(m.tiers.alloc_on(1))
+    return m, m.kswapd[0], held
 
 
 def test_kswapd_restores_high_watermark_with_tpp():
@@ -47,7 +46,7 @@ def test_kswapd_restores_high_watermark_with_tpp():
     space = m.create_space()
     fill_fast_with_cold_pages(m, space)
     assert m.tiers.fast.nr_free == 0
-    m.kswapd[FAST_TIER].wake()
+    m.kswapd[0].wake()
     m.engine.run(until=50_000_000)
     assert m.tiers.fast.nr_free >= m.tiers.fast.wmark_high
     assert m.stats.get("migrate.demotions") > 0
@@ -57,7 +56,7 @@ def test_kswapd_noop_without_policy():
     m = make_machine()
     space = m.create_space()
     fill_fast_with_cold_pages(m, space)
-    m.kswapd[FAST_TIER].wake()
+    m.kswapd[0].wake()
     m.engine.run(until=10_000_000)
     assert m.tiers.fast.nr_free == 0
 
@@ -69,8 +68,8 @@ def test_kswapd_gives_up_when_slow_tier_full():
     fill_fast_with_cold_pages(m, space)
     # Exhaust the slow tier so demotion cannot allocate.
     while m.tiers.slow.nr_free:
-        m.tiers.alloc_on(SLOW_TIER)
-    m.kswapd[FAST_TIER].wake()
+        m.tiers.alloc_on(1)
+    m.kswapd[0].wake()
     m.engine.run(until=30_000_000)
     assert m.stats.get("kswapd.gave_up") > 0
 
@@ -80,7 +79,7 @@ def test_reclaim_work_accounted_on_kswapd_cpu():
     m.set_policy(make_policy("tpp", m))
     space = m.create_space()
     fill_fast_with_cold_pages(m, space)
-    m.kswapd[FAST_TIER].wake()
+    m.kswapd[0].wake()
     m.engine.run(until=50_000_000)
     breakdown = m.stats.breakdown("kswapd0")
     assert breakdown.get("reclaim", 0) > 0
@@ -103,12 +102,12 @@ def test_second_chance_protects_recently_accessed_pages():
     m.access.run_chunk(
         space, m.cpus.get("app0"), hot, np.zeros(len(hot), dtype=bool)
     )
-    m.kswapd[FAST_TIER].wake()
+    m.kswapd[0].wake()
     m.engine.run(until=5_000_000)
     pt = space.page_table
     tiers = m.tiers
     still_fast = sum(
-        1 for vpn in hot if tiers.tier_of(int(pt.gpfn[vpn])) == FAST_TIER
+        1 for vpn in hot if tiers.tier_of(int(pt.gpfn[vpn])) == 0
     )
     # The polite first passes demote cold pages, not the touched ones.
     assert still_fast == len(hot)
@@ -138,7 +137,7 @@ def test_no_migration_full_fast_tier_parks_after_max_retries():
     assert daemon.parked_at is not None
     assert daemon.failures == MAX_RECLAIM_RETRIES
     [backoff] = m.obs.select("reclaim.backoff")
-    assert backoff.args == {"node": FAST_TIER, "failures": MAX_RECLAIM_RETRIES}
+    assert backoff.args == {"node": 0, "failures": MAX_RECLAIM_RETRIES}
     m.engine.run(until=100_000_000)
     assert kswapd_counts(m) == (4 * MAX_RECLAIM_RETRIES, MAX_RECLAIM_RETRIES, 1)
 
@@ -149,7 +148,7 @@ def test_low_watermark_while_parked_runs_no_pass():
     m.engine.run(until=50_000_000)
     assert daemon.parked_at is not None
     before = kswapd_counts(m)
-    m.bus.publish(LowWatermark(FAST_TIER))
+    m.bus.publish(LowWatermark(0))
     daemon.wake()
     m.engine.run(until=60_000_000)
     assert kswapd_counts(m) == before
@@ -169,7 +168,7 @@ def test_slow_tier_free_rearms_a_hopeless_tpp_kswapd():
         m.tiers.free_page(frame)
     m.engine.run(until=55_000_000)
     assert daemon.parked_at is not None
-    m.bus.publish(LowWatermark(FAST_TIER))
+    m.bus.publish(LowWatermark(0))
     m.engine.run(until=100_000_000)
     assert m.stats.get("kswapd.rearms") == 1
     assert daemon.parked_at is None and daemon.failures == 0

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.mem.frame import FrameFlags
-from repro.mem.tiers import FAST_TIER
 from repro.policies import make_policy
 
 from ..conftest import make_machine
@@ -13,7 +12,7 @@ def build_full_fast(machine, touch_all=False):
     """Map the whole fast tier; optionally set every PTE accessed bit."""
     space = machine.create_space()
     vma = space.mmap(machine.tiers.fast.nr_pages)
-    machine.populate(space, vma.vpns(), FAST_TIER)
+    machine.populate(space, vma.vpns(), 0)
     if touch_all:
         vpns = np.asarray(list(vma.vpns()))
         machine.access.run_chunk(
@@ -29,7 +28,7 @@ def test_priority0_spares_accessed_pages_entirely():
     m = make_machine()
     m.set_policy(make_policy("tpp", m))
     space, vma = build_full_fast(m, touch_all=True)
-    kswapd = m.kswapd[FAST_TIER]
+    kswapd = m.kswapd[0]
     freed, _, _ = kswapd._reclaim_pass(16, priority=0)
     assert freed == 0
 
@@ -38,7 +37,7 @@ def test_priority0_clears_accessed_bits_for_aging():
     m = make_machine()
     m.set_policy(make_policy("tpp", m))
     space, vma = build_full_fast(m, touch_all=True)
-    kswapd = m.kswapd[FAST_TIER]
+    kswapd = m.kswapd[0]
     kswapd._reclaim_pass(16, priority=0)
     pt = space.page_table
     head = list(vma.vpns())[:8]
@@ -51,7 +50,7 @@ def test_priority1_demotes_accessed_but_unreferenced():
     m = make_machine()
     m.set_policy(make_policy("tpp", m))
     space, vma = build_full_fast(m, touch_all=True)
-    kswapd = m.kswapd[FAST_TIER]
+    kswapd = m.kswapd[0]
     freed, _, _ = kswapd._reclaim_pass(8, priority=1)
     assert freed > 0
 
@@ -61,10 +60,10 @@ def test_priority1_spares_referenced_frames():
     m.set_policy(make_policy("tpp", m))
     space, vma = build_full_fast(m, touch_all=True)
     # Mark the whole inactive head batch referenced (struct-page flag).
-    batch = m.lru.inactive_head_batch(FAST_TIER, 32)
+    batch = m.lru.inactive_head_batch(0, 32)
     for frame in batch:
         frame.set_flag(FrameFlags.REFERENCED)
-    kswapd = m.kswapd[FAST_TIER]
+    kswapd = m.kswapd[0]
     freed, _, _ = kswapd._reclaim_pass(8, priority=1)
     assert freed == 0
 
@@ -73,9 +72,9 @@ def test_priority2_demotes_anything_inactive():
     m = make_machine()
     m.set_policy(make_policy("tpp", m))
     space, vma = build_full_fast(m, touch_all=True)
-    for frame in m.lru.inactive_head_batch(FAST_TIER, 32):
+    for frame in m.lru.inactive_head_batch(0, 32):
         frame.set_flag(FrameFlags.REFERENCED)
-    kswapd = m.kswapd[FAST_TIER]
+    kswapd = m.kswapd[0]
     freed, _, _ = kswapd._reclaim_pass(8, priority=2)
     assert freed > 0
 
@@ -84,12 +83,12 @@ def test_reclaim_pass_skips_locked_frames():
     m = make_machine()
     m.set_policy(make_policy("tpp", m))
     space, vma = build_full_fast(m)
-    for frame in m.lru.inactive_head_batch(FAST_TIER, 32):
+    for frame in m.lru.inactive_head_batch(0, 32):
         frame.set_flag(FrameFlags.LOCKED)
-    kswapd = m.kswapd[FAST_TIER]
+    kswapd = m.kswapd[0]
     freed, _, _ = kswapd._reclaim_pass(8, priority=2)
     assert freed == 0
-    for frame in m.lru.inactive_head_batch(FAST_TIER, 32):
+    for frame in m.lru.inactive_head_batch(0, 32):
         frame.clear_flag(FrameFlags.LOCKED)
 
 
@@ -98,10 +97,10 @@ def test_reclaim_pass_drains_pagevec_first():
     m.set_policy(make_policy("tpp", m))
     space, vma = build_full_fast(m)
     # Queue an activation request without filling the pagevec.
-    frame = m.lru.inactive_head_batch(FAST_TIER, 1)[0]
+    frame = m.lru.inactive_head_batch(0, 1)[0]
     m.lru.mark_accessed(frame)
     m.lru.mark_accessed(frame)
     assert m.lru.pagevec_occupancy() == 1
-    m.kswapd[FAST_TIER]._reclaim_pass(1, priority=0)
+    m.kswapd[0]._reclaim_pass(1, priority=0)
     assert m.lru.pagevec_occupancy() == 0
     assert frame.active

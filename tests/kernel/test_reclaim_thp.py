@@ -2,7 +2,6 @@
 
 from repro.core.nomad import NomadPolicy
 from repro.kernel.migrate import sync_migrate_page
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.policies import make_policy
 
 from ..conftest import make_machine
@@ -15,7 +14,7 @@ def thp_machine():
 def map_fast_folio(m):
     space = m.create_space()
     vma = space.mmap(m.folio_pages, thp=True)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     head = m.tiers.frame(int(space.page_table.gpfn[vma.start]))
     return space, vma.start, head
 
@@ -25,12 +24,12 @@ def test_sync_migrate_moves_whole_folio():
     m.set_policy(make_policy("tpp", m))
     space, vpn, head = map_fast_folio(m)
     result = sync_migrate_page(
-        m, head, SLOW_TIER, m.cpus.get("kswapd0"), category="demotion"
+        m, head, 1, m.cpus.get("kswapd0"), category="demotion"
     )
     assert result.success
     pt = space.page_table
     for off in range(m.folio_pages):
-        assert m.tiers.tier_of(int(pt.gpfn[vpn + off])) == SLOW_TIER
+        assert m.tiers.tier_of(int(pt.gpfn[vpn + off])) == 1
         assert pt.is_huge(vpn + off)
     assert m.tiers.fast.nr_free == m.tiers.fast.nr_pages
     assert m.stats.get("thp.folio_sync_migrations") == 1
@@ -42,7 +41,7 @@ def test_reclaim_splits_cold_folio_instead_of_demoting():
     m.set_policy(policy)
     space, vpn, head = map_fast_folio(m)
     assert policy.wants_split(head)
-    kswapd = m.kswapd[FAST_TIER]
+    kswapd = m.kswapd[0]
     freed, _cycles, progressed = kswapd._reclaim_pass(
         m.folio_pages, priority=3
     )
@@ -52,7 +51,7 @@ def test_reclaim_splits_cold_folio_instead_of_demoting():
     assert progressed
     pt = space.page_table
     assert not pt.is_huge(vpn)
-    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == FAST_TIER
+    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == 0
     # A follow-up pass can now demote the split base pages one by one.
     freed2, _c, _p = kswapd._reclaim_pass(m.folio_pages, priority=3)
     assert freed2 > 0
@@ -62,14 +61,14 @@ def test_tpp_reclaim_demotes_whole_folio():
     m = thp_machine()
     m.set_policy(make_policy("tpp", m))  # stock policy: no split hook
     space, vpn, head = map_fast_folio(m)
-    kswapd = m.kswapd[FAST_TIER]
+    kswapd = m.kswapd[0]
     freed, _cycles, _progressed = kswapd._reclaim_pass(
         m.folio_pages, priority=3
     )
     assert freed == m.folio_pages  # one demotion event frees 16 pages
     assert m.stats.get("migrate.demotions") == 1
     pt = space.page_table
-    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(pt.gpfn[vpn])) == 1
     assert pt.is_huge(vpn)
 
 
@@ -79,9 +78,9 @@ def test_numa_scanner_arms_folios_at_pmd_cost():
     space = m.create_space()
     fp = m.folio_pages
     vma = space.mmap(fp * 2, thp=True)
-    m.populate(space, [vma.start, vma.start + fp], SLOW_TIER)
+    m.populate(space, [vma.start, vma.start + fp], 1)
     base_vma = space.mmap(4)
-    m.populate(space, base_vma.vpns(), SLOW_TIER)
+    m.populate(space, base_vma.vpns(), 1)
     m.start_numa_scanner()
     m.engine.run(until=m.config.numa_scan_period * 40)
     assert m.stats.get("numa.folios_armed") >= 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mem.node import OutOfMemoryError
-from repro.mem.tiers import FAST_TIER, SLOW_TIER, TieredMemory
+from repro.mem.tiers import TieredMemory
 from repro.sim.bus import AllocFail, LowWatermark
 
 
@@ -20,10 +20,10 @@ def test_layout(tiers):
 
 
 def test_gpfn_roundtrip(tiers):
-    fast = tiers.alloc_on(FAST_TIER)
-    slow = tiers.alloc_on(SLOW_TIER)
-    assert tiers.tier_of(tiers.gpfn(fast)) == FAST_TIER
-    assert tiers.tier_of(tiers.gpfn(slow)) == SLOW_TIER
+    fast = tiers.alloc_on(0)
+    slow = tiers.alloc_on(1)
+    assert tiers.tier_of(tiers.gpfn(fast)) == 0
+    assert tiers.tier_of(tiers.gpfn(slow)) == 1
     assert tiers.frame(tiers.gpfn(fast)) is fast
     assert tiers.frame(tiers.gpfn(slow)) is slow
     # Slow gpfns are offset past the fast node.
@@ -39,21 +39,21 @@ def test_gpfn_bounds(tiers):
 
 def test_alloc_page_prefers_fast(tiers):
     frame = tiers.alloc_page()
-    assert frame.node_id == FAST_TIER
+    assert frame.node_id == 0
 
 
 def test_alloc_page_falls_back_to_slow(tiers):
     while tiers.fast.nr_free:
-        tiers.alloc_on(FAST_TIER)
-    frame = tiers.alloc_page(FAST_TIER)
-    assert frame.node_id == SLOW_TIER
+        tiers.alloc_on(0)
+    frame = tiers.alloc_page(0)
+    assert frame.node_id == 1
 
 
 def test_alloc_page_slow_preference_falls_back_to_fast(tiers):
     while tiers.slow.nr_free:
-        tiers.alloc_on(SLOW_TIER)
-    frame = tiers.alloc_page(SLOW_TIER)
-    assert frame.node_id == FAST_TIER
+        tiers.alloc_on(1)
+    frame = tiers.alloc_page(1)
+    assert frame.node_id == 0
 
 
 def test_oom_when_everything_full(tiers):
@@ -67,8 +67,8 @@ def test_low_watermark_event_published(tiers):
     woken = []
     tiers.bus.subscribe(LowWatermark, lambda e: woken.append(e.tier))
     while tiers.fast.nr_free > tiers.fast.wmark_low - 1:
-        tiers.alloc_on(FAST_TIER)
-    assert FAST_TIER in woken
+        tiers.alloc_on(0)
+    assert 0 in woken
 
 
 def test_alloc_fail_subscriber_enables_recovery(tiers):
@@ -95,14 +95,14 @@ def test_alloc_fail_subscriber_freeing_nothing_ooms(tiers):
 
 
 def test_free_page_roundtrip(tiers):
-    frame = tiers.alloc_on(SLOW_TIER)
+    frame = tiers.alloc_on(1)
     tiers.free_page(frame)
     assert tiers.slow.nr_free == 70
 
 
 def test_usage_snapshot(tiers):
-    tiers.alloc_on(FAST_TIER)
-    tiers.alloc_on(SLOW_TIER)
+    tiers.alloc_on(0)
+    tiers.alloc_on(1)
     usage = tiers.usage()
     assert usage["fast_used"] == 1
     assert usage["slow_used"] == 1

@@ -1,8 +1,8 @@
-"""Tier topology: chain validation, chain-walk allocation, aliases."""
+"""Tier topology: chain validation, chain-walk allocation, tier names."""
 
 import pytest
 
-from repro.mem.tiers import FAST_TIER, SLOW_TIER, TieredMemory
+from repro.mem.tiers import TieredMemory
 from repro.mem.topology import TierSpec, TierTopology
 
 
@@ -86,15 +86,18 @@ def test_topology_cost_vectors_are_per_tier():
 # ----------------------------------------------------------------------
 # TieredMemory on a chain
 # ----------------------------------------------------------------------
-def test_deprecated_aliases_name_the_chain_ends():
-    assert FAST_TIER == 0
-    assert SLOW_TIER == 1
+def test_fast_and_slow_name_tiers_0_and_1():
+    # On a longer chain ``slow`` is the first capacity tier, not the bottom.
+    tiers = TieredMemory(topology=three_chain())
+    assert tiers.fast is tiers.nodes[0]
+    assert tiers.slow is tiers.nodes[1]
+    assert tiers.bottom_tier == 2
 
 
 def test_two_tier_alloc_order_matches_historical_flip():
     tiers = TieredMemory(fast_pages=8, slow_pages=8)
-    assert tiers.alloc_order(FAST_TIER) == (0, 1)
-    assert tiers.alloc_order(SLOW_TIER) == (1, 0)
+    assert tiers.alloc_order(0) == (0, 1)
+    assert tiers.alloc_order(1) == (1, 0)
 
 
 def test_three_tier_alloc_order_walks_down_then_up():

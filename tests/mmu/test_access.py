@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.faults import UnhandledFault
 from repro.mmu.pte import PTE_PROT_NONE, PTE_WRITE
 from repro.policies.base import TieringPolicy
@@ -25,8 +24,8 @@ def test_reads_cost_tier_latency():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(4)
-    m.populate(space, [vma.start], FAST_TIER)
-    m.populate(space, [vma.start + 1], SLOW_TIER)
+    m.populate(space, [vma.start], 0)
+    m.populate(space, [vma.start + 1], 1)
     fast = run_chunk(m, space, [vma.start])
     slow = run_chunk(m, space, [vma.start + 1])
     assert fast.cycles == pytest.approx(m.costs.read_latency[0])
@@ -37,7 +36,7 @@ def test_chunk_accumulates_all_accesses():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(8)
-    m.populate(space, vma.vpns(), FAST_TIER)
+    m.populate(space, vma.vpns(), 0)
     result = run_chunk(m, space, list(vma.vpns()) * 3)
     assert result.reads == 24
     assert result.cycles == pytest.approx(24 * m.costs.read_latency[0])
@@ -47,7 +46,7 @@ def test_accessed_and_dirty_bits_set():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(2)
-    m.populate(space, vma.vpns(), FAST_TIER)
+    m.populate(space, vma.vpns(), 0)
     run_chunk(m, space, [vma.start, vma.start + 1], [False, True])
     pt = space.page_table
     assert pt.is_accessed(vma.start)
@@ -59,7 +58,7 @@ def test_write_timestamps_recorded_monotonically():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(2)
-    m.populate(space, vma.vpns(), FAST_TIER)
+    m.populate(space, vma.vpns(), 0)
     run_chunk(m, space, [vma.start, vma.start + 1], [True, True])
     pt = space.page_table
     t0 = pt.last_write[vma.start]
@@ -76,7 +75,7 @@ def test_demand_paging_on_first_touch():
     assert space.page_table.is_present(vma.start)
     # First-touch lands on the fast tier by default.
     gpfn = int(space.page_table.gpfn[vma.start])
-    assert m.tiers.tier_of(gpfn) == FAST_TIER
+    assert m.tiers.tier_of(gpfn) == 0
     assert m.stats.get("fault.not_present") == 1
 
 
@@ -94,7 +93,7 @@ def test_fault_mid_chunk_resumes_cleanly():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(3)
-    m.populate(space, [vma.start, vma.start + 2], FAST_TIER)
+    m.populate(space, [vma.start, vma.start + 2], 0)
     result = run_chunk(m, space, [vma.start, vma.start + 1, vma.start + 2])
     assert result.faults == 1
     assert result.reads == 3
@@ -119,7 +118,7 @@ def test_prot_none_dispatches_hint_fault_to_policy():
     m.set_policy(policy)
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     space.page_table.set_flags(vma.start, PTE_PROT_NONE)
     result = run_chunk(m, space, [vma.start])
     assert policy.hints == [vma.start]
@@ -141,7 +140,7 @@ def test_wp_fault_dispatches_to_policy():
     m.set_policy(WpFix(m))
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER, writable=False)
+    m.populate(space, [vma.start], 0, writable=False)
     run_chunk(m, space, [vma.start], [True])
     assert WpFix.wp_faults == 1
     assert space.page_table.is_writable(vma.start)
@@ -159,7 +158,7 @@ def test_unresolvable_fault_raises_after_retries():
     m.set_policy(Broken(m))
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     space.page_table.set_flags(vma.start, PTE_PROT_NONE)
     with pytest.raises(UnhandledFault):
         run_chunk(m, space, [vma.start])
@@ -177,7 +176,7 @@ def test_chunk_executed_event_sees_executed_segments():
     sub = m.bus.subscribe(ChunkExecuted, on_chunk)
     space = m.create_space()
     vma = space.mmap(2)
-    m.populate(space, vma.vpns(), FAST_TIER)
+    m.populate(space, vma.vpns(), 0)
     run_chunk(m, space, [vma.start, vma.start + 1], [False, True])
     assert len(seen) == 1
     assert seen[0][0] == [vma.start, vma.start + 1]
@@ -191,7 +190,7 @@ def test_pending_stall_absorbed_into_chunk():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     cpu = m.cpus.get("app0")
     cpu.pending_stall = 1000.0
     result = run_chunk(m, space, [vma.start])
@@ -203,7 +202,7 @@ def test_user_cycles_accounted():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     run_chunk(m, space, [vma.start] * 10)
     assert m.stats.breakdown("app0")["user"] == pytest.approx(
         10 * m.costs.read_latency[0]
@@ -214,7 +213,7 @@ def test_access_one_wrapper():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     result = m.access.access_one(space, m.cpus.get("app0"), vma.start, write=True)
     assert result.writes == 1
     assert space.page_table.is_dirty(vma.start)
@@ -224,7 +223,7 @@ def test_tlb_directory_tracks_accessing_cpu():
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     run_chunk(m, space, [vma.start])
     assert m.tlb_directory.holders(space.asid, vma.start) == {"app0"}
 
@@ -239,7 +238,7 @@ def test_latency_hist_holds_accesses_plus_faults(monkeypatch, scalar_run_max):
     m = make_machine()
     space = m.create_space()
     vma = space.mmap(8)
-    m.populate(space, [vma.start, vma.start + 1], FAST_TIER)
+    m.populate(space, [vma.start, vma.start + 1], 0)
     vpns = [vma.start, vma.start + 1] * 20 + list(vma.vpns())
     result = run_chunk(m, space, vpns, [i % 3 == 0 for i in range(len(vpns))])
     assert result.faults == 6
@@ -284,8 +283,8 @@ def test_store_after_a_fault_still_checks_write_permission():
     m.set_policy(WpFix(m))
     space = m.create_space()
     vma = space.mmap(3)
-    m.populate(space, [vma.start + 1], FAST_TIER, writable=False)
-    m.populate(space, [vma.start + 2], FAST_TIER)
+    m.populate(space, [vma.start + 1], 0, writable=False)
+    m.populate(space, [vma.start + 2], 0)
     vpns = [vma.start + 2, vma.start, vma.start + 2, vma.start + 1]
     result = run_chunk(m, space, vpns, [True, False, True, True])
     assert seen == [vma.start + 1]

@@ -130,18 +130,16 @@ def test_shadow_lifetime_span():
 
 
 def test_sync_fallback_closed_only_by_promotion_direction_sync():
-    from repro.mem.tiers import FAST_TIER, SLOW_TIER
-
     t = tracker()
     t.feed(rec(0, "migrate.sync_fallback", vpn=11, mapcount=3))
     # A kswapd demotion sync in between must not close the fallback.
     t.feed(
-        rec(5, "migrate.sync", src_tier=FAST_TIER, dst_tier=SLOW_TIER,
+        rec(5, "migrate.sync", src_tier=0, dst_tier=1,
             success=True, reason="", retries=0)
     )
     assert t.open_count() == 1
     t.feed(
-        rec(9, "migrate.sync", src_tier=SLOW_TIER, dst_tier=FAST_TIER,
+        rec(9, "migrate.sync", src_tier=1, dst_tier=0,
             success=True, reason="", retries=1)
     )
     (span,) = t.spans()

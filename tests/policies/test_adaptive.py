@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.mem.tiers import SLOW_TIER
 from repro.mmu.pte import PTE_PROT_NONE
 from repro.policies import make_policy
 from repro.policies.adaptive import AdaptiveNomadPolicy, ThrashDetector
@@ -136,7 +135,7 @@ def test_suppressed_fault_still_unprotects_page():
     policy.promotion_enabled = False
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     space.page_table.set_flags(vma.start, PTE_PROT_NONE)
     result = m.access.run_chunk(
         space,
@@ -147,7 +146,7 @@ def test_suppressed_fault_still_unprotects_page():
     assert result.faults == 1
     assert not space.page_table.is_prot_none(vma.start)
     # Page stayed put; no queue work happened.
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vma.start])) == SLOW_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vma.start])) == 1
     assert len(policy.pcq) == 0
 
 
@@ -157,7 +156,7 @@ def test_trip_flushes_pending_queue():
     m.set_policy(policy)
     space = m.create_space()
     vma = space.mmap(2)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     from repro.core.queues import MigrationRequest
 
     for vpn in vma.vpns():

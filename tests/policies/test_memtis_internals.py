@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.mem.frame import FrameFlags
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.policies.memtis import MemtisPolicy
 
 from ..conftest import make_machine
@@ -28,7 +27,7 @@ def seed_counts(policy, space, counts_by_vpn):
 def test_migrate_round_promotes_above_threshold_only():
     m, policy, space = build(min_hot_samples=3.0, promote_budget=64)
     vma = space.mmap(6)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     seed_counts(
         policy,
         space,
@@ -37,32 +36,32 @@ def test_migrate_round_promotes_above_threshold_only():
     policy._migrate_round()
     pt = space.page_table
     tiers = m.tiers.tier_of_gpfn[pt.gpfn[np.asarray(list(vma.vpns()))]]
-    assert tiers[0] == FAST_TIER
-    assert tiers[1] == FAST_TIER
-    assert tiers[2] == SLOW_TIER  # below min_hot_samples
-    assert (tiers[3:] == SLOW_TIER).all()  # never sampled
+    assert tiers[0] == 0
+    assert tiers[1] == 0
+    assert tiers[2] == 1  # below min_hot_samples
+    assert (tiers[3:] == 1).all()  # never sampled
 
 
 def test_promotion_margin_blocks_borderline_pages():
     m, policy, space = build(min_hot_samples=3.0, promotion_margin=5.0)
     vma = space.mmap(2)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     seed_counts(policy, space, {vma.start: 4.0, vma.start + 1: 9.0})
     policy._migrate_round()
     pt = space.page_table
-    assert m.tiers.tier_of(int(pt.gpfn[vma.start])) == SLOW_TIER  # 4 < 3+5
-    assert m.tiers.tier_of(int(pt.gpfn[vma.start + 1])) == FAST_TIER  # 9 >= 8
+    assert m.tiers.tier_of(int(pt.gpfn[vma.start])) == 1  # 4 < 3+5
+    assert m.tiers.tier_of(int(pt.gpfn[vma.start + 1])) == 0  # 9 >= 8
 
 
 def test_promote_budget_caps_per_round():
     m, policy, space = build(min_hot_samples=1.0, promote_budget=2)
     vma = space.mmap(8)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     seed_counts(policy, space, {v: 10.0 for v in vma.vpns()})
     policy._migrate_round()
     pt = space.page_table
     tiers = m.tiers.tier_of_gpfn[pt.gpfn[np.asarray(list(vma.vpns()))]]
-    assert int((tiers == FAST_TIER).sum()) == 2
+    assert int((tiers == 0).sum()) == 2
 
 
 def test_threshold_rises_with_occupancy():
@@ -71,7 +70,7 @@ def test_threshold_rises_with_occupancy():
     m, policy, space = build(min_hot_samples=1.0, promote_budget=1000)
     capacity = m.tiers.fast.nr_pages
     vma = space.mmap(capacity + 64)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     # All pages sampled, with the last 64 clearly hotter.
     seed_counts(policy, space, {v: 2.0 for v in vma.vpns()})
     seed_counts(
@@ -80,23 +79,23 @@ def test_threshold_rises_with_occupancy():
     policy._migrate_round()
     pt = space.page_table
     hot_tiers = m.tiers.tier_of_gpfn[pt.gpfn[np.asarray(list(vma.vpns())[-64:])]]
-    assert (hot_tiers == FAST_TIER).all()
+    assert (hot_tiers == 0).all()
 
 
 def test_migrate_vpn_skips_locked_frames():
     m, policy, space = build()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     frame = m.tiers.frame(int(space.page_table.gpfn[vma.start]))
     frame.set_flag(FrameFlags.LOCKED)
-    assert policy._migrate_vpn(space, vma.start, FAST_TIER) == 0.0
+    assert policy._migrate_vpn(space, vma.start, 0) == 0.0
     frame.clear_flag(FrameFlags.LOCKED)
 
 
 def test_migrate_vpn_noop_for_unmapped():
     m, policy, space = build()
     vma = space.mmap(1)
-    assert policy._migrate_vpn(space, vma.start, FAST_TIER) == 0.0
+    assert policy._migrate_vpn(space, vma.start, 0) == 0.0
 
 
 def test_observer_ignores_foreign_space_after_free():
@@ -104,7 +103,7 @@ def test_observer_ignores_foreign_space_after_free():
     m, policy, space = build()
     other = m.create_space("other")
     vma = other.mmap(1)
-    m.populate(other, [vma.start], SLOW_TIER)
+    m.populate(other, [vma.start], 1)
     m.access.run_chunk(
         other,
         m.cpus.get("app0"),
@@ -118,7 +117,7 @@ def test_observer_ignores_foreign_space_after_free():
 def test_cooling_preserves_relative_order():
     m, policy, space = build(cooling_samples=5)
     vma = space.mmap(2)
-    m.populate(space, vma.vpns(), SLOW_TIER)
+    m.populate(space, vma.vpns(), 1)
     counts, _t, _l = policy._state(space)
     counts[vma.start] = 40.0
     counts[vma.start + 1] = 10.0

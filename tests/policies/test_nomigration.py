@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.policies import make_policy
 from repro.policies.nomigration import NoMigrationPolicy
 
@@ -14,8 +13,8 @@ def test_pages_never_move():
     m.set_policy(NoMigrationPolicy(m))
     space = m.create_space()
     vma = space.mmap(4)
-    m.populate(space, list(vma.vpns())[:2], FAST_TIER)
-    m.populate(space, list(vma.vpns())[2:], SLOW_TIER)
+    m.populate(space, list(vma.vpns())[:2], 0)
+    m.populate(space, list(vma.vpns())[2:], 1)
     vpns = np.asarray(list(vma.vpns()) * 100, dtype=np.int64)
     m.access.run_chunk(space, m.cpus.get("app0"), vpns, np.zeros(len(vpns), bool))
     m.engine.run(until=10_000_000)
@@ -28,7 +27,7 @@ def test_demote_page_declines():
     m = make_machine()
     policy = NoMigrationPolicy(m)
     m.set_policy(policy)
-    frame = m.tiers.alloc_on(FAST_TIER)
+    frame = m.tiers.alloc_on(0)
     assert policy.demote_page(frame, m.cpus.get("kswapd0")) == (False, 0.0)
 
 
@@ -37,10 +36,10 @@ def test_allocations_spill_when_fast_full():
     m.set_policy(NoMigrationPolicy(m))
     space = m.create_space()
     vma = space.mmap(m.tiers.fast.nr_pages + 10)
-    m.populate(space, vma.vpns(), FAST_TIER)
+    m.populate(space, vma.vpns(), 0)
     pt = space.page_table
     tiers = [m.tiers.tier_of(int(pt.gpfn[v])) for v in vma.vpns()]
-    assert tiers.count(SLOW_TIER) >= 10
+    assert tiers.count(1) >= 10
 
 
 def test_factory_registry():

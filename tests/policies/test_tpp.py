@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.pte import PTE_PROT_NONE
 from repro.policies.tpp import TppPolicy
 
@@ -19,7 +18,7 @@ def build(**kwargs):
 
 def slow_page(m, space):
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     return vma.start
 
 
@@ -51,7 +50,7 @@ def test_first_fault_does_not_promote():
     vpn = slow_page(m, space)
     arm(space, vpn)
     touch(m, space, vpn)
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 1
 
 
 def test_active_page_promoted_synchronously():
@@ -61,10 +60,10 @@ def test_active_page_promoted_synchronously():
     m.lru.force_activate(frame)
     arm(space, vpn)
     result = touch(m, space, vpn)
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == FAST_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 0
     assert m.stats.get("tpp.promotions") == 1
     # The whole migration happened inside the fault, on the app's time.
-    assert result.fault_cycles > m.costs.page_copy_cycles(SLOW_TIER, FAST_TIER)
+    assert result.fault_cycles > m.costs.page_copy_cycles(1, 0)
     assert m.stats.breakdown("app0").get("promotion", 0) > 0
 
 
@@ -75,7 +74,7 @@ def test_low_fault_latency_promotes_without_activation():
     touch(m, space, vpn)  # first fault: records the timestamp
     arm(space, vpn)
     touch(m, space, vpn)  # second fault soon after: promote
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == FAST_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 0
 
 
 def test_inactive_page_needs_up_to_pagevec_worth_of_faults():
@@ -84,7 +83,7 @@ def test_inactive_page_needs_up_to_pagevec_worth_of_faults():
     m, policy, space = build(hint_fault_latency_cycles=0.0)
     vpn = slow_page(m, space)
     faults = 0
-    while m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == SLOW_TIER:
+    while m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 1:
         arm(space, vpn)
         touch(m, space, vpn)
         faults += 1
@@ -98,14 +97,14 @@ def test_promotion_disabled():
     for _ in range(5):
         arm(space, vpn)
         touch(m, space, vpn)
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == SLOW_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 1
 
 
 def test_retry_storm_on_full_fast_tier():
     m, policy, space = build(hint_fault_latency_cycles=1e9)
     vpn = slow_page(m, space)
     while m.tiers.fast.nr_free:
-        m.tiers.alloc_on(FAST_TIER)
+        m.tiers.alloc_on(0)
     arm(space, vpn)
     touch(m, space, vpn)
     arm(space, vpn)
@@ -118,12 +117,12 @@ def test_retry_storm_on_full_fast_tier():
 def test_demote_page_moves_to_slow():
     m, policy, space = build()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     frame = m.tiers.frame(int(space.page_table.gpfn[vma.start]))
     ok, cycles = policy.demote_page(frame, m.cpus.get("kswapd0"))
     assert ok
     assert cycles > 0
-    assert m.tiers.tier_of(int(space.page_table.gpfn[vma.start])) == SLOW_TIER
+    assert m.tiers.tier_of(int(space.page_table.gpfn[vma.start])) == 1
     assert m.stats.get("tpp.demotions") == 1
 
 
@@ -137,7 +136,7 @@ def test_demote_rejects_slow_page():
 def test_fast_tier_hint_fault_is_noop_promotion():
     m, policy, space = build()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     arm(space, vma.start)  # should not normally happen; be robust
     touch(m, space, vma.start)
     assert m.stats.get("tpp.promotions") == 0

@@ -208,25 +208,6 @@ def test_counters_since_unknown_mark():
         Stats().counters_since("nope")
 
 
-def test_bump_listeners_see_name_and_amount():
-    stats = Stats()
-    seen = []
-    handle = stats.subscribe_bumps(lambda name, amount: seen.append((name, amount)))
-    stats.bump("a")
-    stats.bump("b", 2.5)
-    stats.unsubscribe_bumps(handle)
-    stats.bump("a")
-    assert seen == [("a", 1.0), ("b", 2.5)]
-
-
-def test_unsubscribe_is_idempotent():
-    stats = Stats()
-    handle = stats.subscribe_bumps(lambda name, amount: None)
-    stats.unsubscribe_bumps(handle)
-    stats.unsubscribe_bumps(handle)  # second remove: no error
-    stats.unsubscribe_bumps(lambda name, amount: None)  # never subscribed
-
-
 def test_snapshot_is_a_copy():
     stats = Stats()
     stats.bump("a")

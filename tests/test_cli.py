@@ -83,91 +83,6 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_trace_command_stdout(capsys):
-    assert (
-        main(
-            [
-                "trace",
-                "--policy",
-                "nomad",
-                "--scenario",
-                "small",
-                "--accesses",
-                "15000",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert out.startswith("time_cycles,event,amount")
-
-
-def test_trace_command_file(tmp_path, capsys):
-    path = tmp_path / "trace.csv"
-    assert (
-        main(
-            [
-                "trace",
-                "--accesses",
-                "15000",
-                "--output",
-                str(path),
-            ]
-        )
-        == 0
-    )
-    assert path.read_text().startswith("time_cycles,event,amount")
-    assert "Event trace written" in capsys.readouterr().out
-
-
-def test_trace_command_jsonl_format(capsys):
-    import json
-
-    assert (
-        main(
-            [
-                "trace",
-                "--accesses",
-                "15000",
-                "--write-ratio",
-                "0.3",
-                "--format",
-                "jsonl",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    records = [json.loads(line) for line in out.splitlines() if line]
-    assert records
-    assert all({"ts", "name", "args"} <= set(r) for r in records)
-
-
-def test_trace_command_chrome_format(tmp_path):
-    import json
-
-    path = tmp_path / "trace.json"
-    assert (
-        main(
-            [
-                "trace",
-                "--accesses",
-                "15000",
-                "--write-ratio",
-                "0.3",
-                "--format",
-                "chrome",
-                "--output",
-                str(path),
-            ]
-        )
-        == 0
-    )
-    doc = json.loads(path.read_text())
-    assert doc["traceEvents"]
-    assert {"ph", "pid", "name"} <= set(doc["traceEvents"][0])
-
-
 def test_obs_command_writes_all_exports(tmp_path, capsys):
     out_dir = tmp_path / "obs"
     assert (
@@ -192,6 +107,60 @@ def test_obs_command_writes_all_exports(tmp_path, capsys):
         assert (out_dir / fname).exists(), fname
     out = capsys.readouterr().out
     assert "Tracepoints" in out and "Exports" in out
+
+
+# One small cell, shared by the directory-mode run and the --artifact runs.
+OBS_CELL = ["obs", "--scenario", "small", "--accesses", "10000",
+            "--write-ratio", "0.5"]
+
+
+@pytest.fixture(scope="module")
+def obs_dir(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("obs")
+    assert main([*OBS_CELL, "--output-dir", str(out_dir)]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize(
+    "kind", ["jsonl", "chrome", "spans", "spans_chrome", "timeseries"]
+)
+def test_obs_artifact_prints_the_file_directory_mode_writes(
+    obs_dir, kind, capsys
+):
+    from repro.obs.export import OBS_EXPORTS
+
+    capsys.readouterr()
+    assert main([*OBS_CELL, "--artifact", kind]) == 0
+    printed = capsys.readouterr().out
+    expected = (obs_dir / OBS_EXPORTS[kind][0]).read_text()
+    assert expected
+    # Compared outside the assert: pytest's diff of two multi-MB
+    # strings would take minutes to render on failure.
+    same = printed == expected
+    assert same, f"{kind}: {len(printed)} chars printed, {len(expected)} in file"
+
+
+def test_obs_unknown_artifact_lists_the_valid_kinds(obs_dir, capsys):
+    from repro.obs.export import OBS_EXPORTS
+
+    assert main([*OBS_CELL, "--artifact", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "'bogus'" in captured.err
+    listed = captured.err.split("choose from ", 1)[1].split()
+    written = [
+        kind for kind, (name, _, _) in OBS_EXPORTS.items()
+        if (obs_dir / name).exists()
+    ]
+    assert [kind.rstrip(",") for kind in listed] == written
+
+
+@pytest.mark.parametrize("command", ["trace", "spans"])
+def test_trace_and_spans_are_not_subcommands(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_timeline_experiment(capsys):

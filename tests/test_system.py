@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import MachineConfig
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.mmu.faults import UnhandledFault
 from repro.policies import make_policy
 from repro.workloads import SeqScanWorkload
@@ -43,7 +42,7 @@ def test_create_space_registers(machine):
 def test_populate_reports_on_tier_count(machine):
     space = machine.create_space()
     vma = space.mmap(300)
-    on_fast = machine.populate(space, vma.vpns(), FAST_TIER)
+    on_fast = machine.populate(space, vma.vpns(), 0)
     # Only 256 fast frames exist; the rest spilled to slow.
     assert on_fast <= 256
     assert space.rss_pages == 300
@@ -52,39 +51,39 @@ def test_populate_reports_on_tier_count(machine):
 def test_populate_skips_already_mapped(machine):
     space = machine.create_space()
     vma = space.mmap(4)
-    machine.populate(space, vma.vpns(), FAST_TIER)
-    again = machine.populate(space, vma.vpns(), SLOW_TIER)
+    machine.populate(space, vma.vpns(), 0)
+    again = machine.populate(space, vma.vpns(), 1)
     assert again == 0
     pt = space.page_table
     tiers = machine.tiers.tier_of_gpfn[pt.gpfn[np.asarray(list(vma.vpns()))]]
-    assert (tiers == FAST_TIER).all()
+    assert (tiers == 0).all()
 
 
 def test_populate_readonly(machine):
     space = machine.create_space()
     vma = space.mmap(2)
-    machine.populate(space, vma.vpns(), FAST_TIER, writable=False)
+    machine.populate(space, vma.vpns(), 0, writable=False)
     assert not space.page_table.is_writable(vma.start)
 
 
 def test_demote_all_moves_fast_pages(machine):
     space = machine.create_space()
     vma = space.mmap(50)
-    machine.populate(space, vma.vpns(), FAST_TIER)
+    machine.populate(space, vma.vpns(), 0)
     moved = machine.demote_all(space)
     assert moved == 50
     pt = space.page_table
     tiers = machine.tiers.tier_of_gpfn[pt.gpfn[np.asarray(list(vma.vpns()))]]
-    assert (tiers == SLOW_TIER).all()
+    assert (tiers == 1).all()
     assert machine.tiers.fast.nr_free == machine.tiers.fast.nr_pages
 
 
 def test_demote_all_stops_when_slow_full(machine):
     space = machine.create_space()
     big = space.mmap(256)
-    machine.populate(space, big.vpns(), SLOW_TIER)  # fills slow tier
+    machine.populate(space, big.vpns(), 1)  # fills slow tier
     small = space.mmap(10)
-    machine.populate(space, small.vpns(), FAST_TIER)
+    machine.populate(space, small.vpns(), 0)
     moved = machine.demote_all(space)
     assert moved == 0
 
@@ -92,8 +91,8 @@ def test_demote_all_stops_when_slow_full(machine):
 def test_demote_all_preserves_permissions(machine):
     space = machine.create_space()
     vma = space.mmap(2)
-    machine.populate(space, [vma.start], FAST_TIER, writable=True)
-    machine.populate(space, [vma.start + 1], FAST_TIER, writable=False)
+    machine.populate(space, [vma.start], 0, writable=True)
+    machine.populate(space, [vma.start + 1], 0, writable=False)
     machine.demote_all(space)
     assert space.page_table.is_writable(vma.start)
     assert not space.page_table.is_writable(vma.start + 1)
@@ -104,7 +103,7 @@ def test_demand_page_prefers_policy_tier(machine):
         pass
 
     policy = make_policy("no-migration", machine)
-    policy.alloc_preference = lambda fault: SLOW_TIER
+    policy.alloc_preference = lambda fault: 1
     machine.set_policy(policy)
     space = machine.create_space()
     vma = space.mmap(1)
@@ -115,7 +114,7 @@ def test_demand_page_prefers_policy_tier(machine):
         np.array([False]),
     )
     gpfn = int(space.page_table.gpfn[vma.start])
-    assert machine.tiers.tier_of(gpfn) == SLOW_TIER
+    assert machine.tiers.tier_of(gpfn) == 1
 
 
 def test_demand_page_write_fault_sets_dirty(machine):
@@ -134,7 +133,7 @@ def test_demand_page_write_fault_sets_dirty(machine):
 def test_hint_fault_without_policy_raises(machine):
     space = machine.create_space()
     vma = space.mmap(1)
-    machine.populate(space, [vma.start], SLOW_TIER)
+    machine.populate(space, [vma.start], 1)
     from repro.mmu.pte import PTE_PROT_NONE
 
     space.page_table.set_flags(vma.start, PTE_PROT_NONE)
@@ -150,7 +149,7 @@ def test_hint_fault_without_policy_raises(machine):
 def test_tlb_shootdown_cost_scales_with_holders(machine):
     space = machine.create_space()
     vma = space.mmap(1)
-    machine.populate(space, [vma.start], FAST_TIER)
+    machine.populate(space, [vma.start], 0)
     initiator = machine.cpus.get("kpromote")
     # No holders: local flush only.
     solo = machine.tlb_shootdown(space, vma.start, initiator)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import MachineConfig
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.policies import make_policy
 
 from .conftest import make_machine
@@ -126,7 +125,7 @@ def test_populate_maps_folios_for_hinted_regions():
     space = m.create_space()
     fp = m.folio_pages
     vma = space.mmap(fp * 3, thp=True)
-    on_tier = m.populate(space, range(vma.start, vma.end), SLOW_TIER)
+    on_tier = m.populate(space, range(vma.start, vma.end), 1)
     assert on_tier == fp * 3
     assert m.stats.get("thp.folios_mapped") == 3
     pt = space.page_table
@@ -140,7 +139,7 @@ def split_setup():
     m = thp_machine()
     space = m.create_space()
     vma = space.mmap(m.folio_pages, thp=True)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     head = m.tiers.frame(int(space.page_table.gpfn[vma.start]))
     return m, space, vma.start, head
 
@@ -178,7 +177,7 @@ def test_split_base_page_is_refused():
     m = thp_machine()
     space = m.create_space()
     vma = space.mmap(1)
-    m.populate(space, [vma.start], SLOW_TIER)
+    m.populate(space, [vma.start], 1)
     frame = m.tiers.frame(int(space.page_table.gpfn[vma.start]))
     ok, cycles = m.split_folio(frame, m.cpus.get("kswapd1"))
     assert not ok and cycles == 0.0
@@ -192,10 +191,10 @@ def test_demote_all_moves_whole_folios():
     space = m.create_space()
     fp = m.folio_pages
     vma = space.mmap(fp, thp=True)
-    m.populate(space, [vma.start], FAST_TIER)
+    m.populate(space, [vma.start], 0)
     moved = m.demote_all(space)
     assert moved == fp
     pt = space.page_table
     for off in range(fp):
-        assert m.tiers.tier_of(int(pt.gpfn[vma.start + off])) == SLOW_TIER
+        assert m.tiers.tier_of(int(pt.gpfn[vma.start + off])) == 1
         assert pt.is_huge(vma.start + off)

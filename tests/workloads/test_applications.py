@@ -4,7 +4,6 @@ sequential scan, pointer chase."""
 import numpy as np
 import pytest
 
-from repro.mem.tiers import SLOW_TIER
 from repro.sim.platform import gb_to_pages
 from repro.workloads import (
     KvStoreLayout,
@@ -91,7 +90,7 @@ def test_ycsb_demote_all_starts_cold():
     pt = wl.space.page_table
     mapped = pt.mapped_vpns()
     tiers = m.tiers.tier_of_gpfn[pt.gpfn[mapped]]
-    assert (tiers == SLOW_TIER).all()
+    assert (tiers == 1).all()
 
 
 def test_ycsb_throughput_math():
@@ -183,7 +182,7 @@ def test_liblinear_demote_all_default():
     pt = wl.space.page_table
     mapped = pt.mapped_vpns()
     tiers = m.tiers.tier_of_gpfn[pt.gpfn[mapped]]
-    assert (tiers == SLOW_TIER).all()
+    assert (tiers == 1).all()
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.obs.export import counter_digest
 from repro.policies import make_policy
 from repro.workloads import (
@@ -44,8 +43,8 @@ def test_fast_fraction_placement():
     wl.bind(m)
     pt = wl.space.page_table
     tiers = m.tiers.tier_of_gpfn[pt.gpfn[np.arange(wl._start, wl._start + 100)]]
-    assert (tiers[:50] == FAST_TIER).all()
-    assert (tiers[50:] == SLOW_TIER).all()
+    assert (tiers[:50] == 0).all()
+    assert (tiers[50:] == 1).all()
 
 
 def test_save_load_roundtrip(tmp_path):

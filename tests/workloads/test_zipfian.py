@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.mem.tiers import FAST_TIER, SLOW_TIER
 from repro.sim.platform import gb_to_pages
 from repro.workloads import SCENARIOS, ZipfianMicrobench
 from repro.workloads.base import ZipfGenerator
@@ -63,8 +62,8 @@ def test_layout_small_scenario():
     pt = wl.space.page_table
     wss_vpns = np.arange(wl.prefill_pages, wl.prefill_pages + wl.wss_pages)
     tiers = m.tiers.tier_of_gpfn[pt.gpfn[wss_vpns]]
-    on_fast = int((tiers == FAST_TIER).sum())
-    on_slow = int((tiers == SLOW_TIER).sum())
+    on_fast = int((tiers == 0).sum())
+    on_slow = int((tiers == 1).sum())
     # ~6 GB of WSS in fast, ~4 GB spilled (modulo the watermark reserve).
     assert on_slow >= gb_to_pages(4.0)
     assert on_fast + on_slow == wl.wss_pages
@@ -80,7 +79,7 @@ def test_frequency_opt_places_hottest_in_fast():
     pt = wl.space.page_table
     hottest = wl.hot_pages(50)
     tiers = m.tiers.tier_of_gpfn[pt.gpfn[hottest]]
-    assert (tiers == FAST_TIER).all()
+    assert (tiers == 0).all()
 
 
 def test_random_placement_mixes_tiers():
@@ -92,8 +91,8 @@ def test_random_placement_mixes_tiers():
     pt = wl.space.page_table
     hottest = wl.hot_pages(50)
     tiers = m.tiers.tier_of_gpfn[pt.gpfn[hottest]]
-    assert (tiers == FAST_TIER).any()
-    assert (tiers == SLOW_TIER).any()
+    assert (tiers == 0).any()
+    assert (tiers == 1).any()
 
 
 def test_accesses_stay_inside_wss():
