@@ -31,10 +31,10 @@ def test_fig14_redis_large(benchmark, accesses):
 
     for platform in ("C", "D"):
         for case in ("large-thrashing", "large-normal"):
-            # Nomad degrades gracefully relative to TPP; the paper's gap
-            # compresses at simulation scale (see EXPERIMENTS.md), so we
-            # assert parity within 10%.
-            assert ops(platform, case, "nomad") > 0.9 * ops(platform, case, "tpp")
+            # Nomad degrades gracefully relative to TPP: the verdict is
+            # Nomad > TPP (EXPERIMENTS.md). At simulation scale the gap
+            # compresses, most on platform D's normal placement (~1%).
+            assert ops(platform, case, "nomad") > ops(platform, case, "tpp")
     # Nomad falls short of Memtis at this RSS (platform C has Memtis).
     for case in ("large-thrashing", "large-normal"):
         assert ops("C", case, "nomad") < ops("C", case, "memtis-default")

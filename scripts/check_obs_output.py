@@ -41,11 +41,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.obs.counters import COUNTERS  # noqa: E402
 from repro.obs.export import metric_name  # noqa: E402
-from repro.obs.sampler import GAUGES  # noqa: E402
 from repro.obs.spans import SPAN_KINDS  # noqa: E402
-from repro.obs.tenants import TENANT_TIMESERIES_COLUMNS  # noqa: E402
-from repro.obs.timeseries import TIMESERIES_COLUMNS  # noqa: E402
 from repro.obs.tracepoints import TRACEPOINTS  # noqa: E402
+from repro.obs.windows import (  # noqa: E402
+    GAUGES,
+    TENANT_TIMESERIES_COLUMNS,
+    TIMESERIES_COLUMNS,
+)
 
 SPAN_KEYS = {
     "kind", "key", "start", "end", "outcome", "phases", "attrs", "children",

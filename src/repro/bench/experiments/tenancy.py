@@ -30,7 +30,7 @@ import os
 import tempfile
 from typing import Dict, List, Optional, Sequence
 
-from ...obs.tenants import TenantRange
+from ...obs.windows import TenantRange
 from ...workloads import StreamingTraceWorkload, build_trace
 from ..runner import build_machine, policy_available
 from .registry import register, rows_printer

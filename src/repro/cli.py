@@ -86,6 +86,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _positive(kind):
+    """An argparse type: a ``kind`` (int or float) above zero."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
 def _add_cell_options(
     parser: argparse.ArgumentParser,
     scenario: str = "medium",
@@ -99,7 +112,7 @@ def _add_cell_options(
     )
     parser.add_argument("--write-ratio", type=float, default=write_ratio)
     parser.add_argument("--platform", default="A")
-    parser.add_argument("--accesses", type=int, default=accesses)
+    parser.add_argument("--accesses", type=_positive(int), default=accesses)
 
 
 def _cell_workload(args) -> ZipfianMicrobench:
@@ -580,10 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chrome and spans_chrome exports load in Perfetto.",
     )
     _add_cell_options(obs_p)
-    obs_p.add_argument("--capacity", type=int, default=65_536)
+    obs_p.add_argument("--capacity", type=_positive(int), default=65_536)
     obs_p.add_argument(
         "--sample-period",
-        type=float,
+        type=_positive(float),
         default=50_000.0,
         help="gauge sample period in cycles",
     )
@@ -592,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_p.add_argument(
         "--window",
-        type=float,
+        type=_positive(float),
         default=100_000.0,
         help="time-series window size in cycles",
     )
@@ -613,12 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cell_options(top_p)
     top_p.add_argument(
         "--window",
-        type=float,
+        type=_positive(float),
         default=100_000.0,
         help="refresh window in simulated cycles",
     )
     top_p.add_argument(
-        "--refresh", type=int, default=1,
+        "--refresh", type=_positive(int), default=1,
         help="redraw every Nth window (coarser refresh)",
     )
     top_p.add_argument(

@@ -13,7 +13,7 @@ bypasses this (see :mod:`repro.core.queues`).
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from ..mem.frame import Frame, FrameFlags
 from ..mem.tiers import TieredMemory
@@ -49,16 +49,6 @@ class OrderedFrameSet:
             del self._frames[id(frame)]
         except KeyError:
             raise RuntimeError(f"frame pfn={frame.pfn} not on list") from None
-
-    def pop_head(self) -> Optional[Frame]:
-        for key in self._frames:
-            return self._frames.pop(key)
-        return None
-
-    def peek_head(self) -> Optional[Frame]:
-        for frame in self._frames.values():
-            return frame
-        return None
 
     def head_batch(self, n: int) -> List[Frame]:
         return list(islice(self._frames.values(), n))

@@ -13,8 +13,9 @@ Layout:
 * :mod:`repro.obs.tracepoints` -- typed trace events, the bounded
   drop-counting ring buffer, and :class:`ObsManager`
   (``machine.obs``);
-* :mod:`repro.obs.sampler` -- the periodic gauge sampler (MPQ depth,
-  shadow count, free frames, LRU sizes ...);
+* :mod:`repro.obs.windows` -- the window engine that folds simulated
+  time into fixed windows, and its periodic gauge-sample view (MPQ
+  depth, shadow count, free frames, LRU sizes ...);
 * :mod:`repro.obs.hist` -- reusable geometric-bin histograms (TPM copy
   time, MPQ wait, fault service latency, access latency);
 * :mod:`repro.obs.export` -- JSONL / CSV / Prometheus text / Chrome
@@ -26,12 +27,10 @@ by default and bit-neutral when enabled:
 * :mod:`repro.obs.spans` -- tracepoints folded into lifecycle spans
   (TPM transactions with phase breakdowns, MPQ residencies, shadow
   lifetimes, sync fallbacks), exported as JSONL or Perfetto slices;
-* :mod:`repro.obs.timeseries` -- counters/gauges/span latencies
-  aggregated into fixed simulated-time windows (abort rate, migration
-  rates, per-window p50/p99) for timeline plots and ``repro top``;
-* :mod:`repro.obs.tenants` -- the same windows split per tenant for
-  multi-tenant co-runs, attributed by disjoint vpn ranges (fairness
-  experiments);
+* the two other views of :mod:`repro.obs.windows` -- machine-wide
+  windows (abort rate, migration rates, per-window TPM p50/p99) for
+  timeline plots and ``repro top``, and the same windows per tenant of
+  a multi-tenant co-run, attributed by disjoint vpn ranges;
 * :mod:`repro.obs.selfprof` -- host wall-clock attribution per
   subsystem (where does *simulator* time go);
 * :mod:`repro.obs.top` -- the live terminal dashboard.
@@ -50,12 +49,10 @@ from .export import (
     chrome_trace,
     events_to_csv,
     events_to_jsonl,
-    gauges_to_csv,
     prometheus_text,
     write_obs_outputs,
 )
 from .hist import Histogram, bucket_values, percentile_from_counts
-from .sampler import GAUGES, GaugeSampler, default_gauges
 from .selfprof import SelfProfiler
 from .spans import (
     SPAN_KINDS,
@@ -63,19 +60,6 @@ from .spans import (
     SpanTracker,
     spans_to_chrome,
     spans_to_jsonl,
-)
-from .tenants import (
-    TENANT_TIMESERIES_COLUMNS,
-    TenantRange,
-    TenantSeriesAggregator,
-    tenant_timeseries_to_csv,
-    tenant_timeseries_to_json,
-)
-from .timeseries import (
-    TIMESERIES_COLUMNS,
-    TimeSeriesAggregator,
-    timeseries_to_csv,
-    timeseries_to_json,
 )
 from .tracepoints import (
     HISTOGRAM_SPECS,
@@ -86,6 +70,18 @@ from .tracepoints import (
     TracepointSpec,
     register_tracepoint,
 )
+from .windows import (
+    GAUGES,
+    TENANT_TIMESERIES_COLUMNS,
+    TIMESERIES_COLUMNS,
+    GaugeSampler,
+    TenantRange,
+    TenantSeriesAggregator,
+    TimeSeriesAggregator,
+    WindowEngine,
+    windows_to_csv,
+    windows_to_json,
+)
 
 __all__ = [
     "COUNTERS",
@@ -94,9 +90,6 @@ __all__ = [
     "Histogram",
     "bucket_values",
     "percentile_from_counts",
-    "GAUGES",
-    "GaugeSampler",
-    "default_gauges",
     "TRACEPOINTS",
     "TracepointSpec",
     "register_tracepoint",
@@ -107,7 +100,6 @@ __all__ = [
     "chrome_trace",
     "events_to_jsonl",
     "events_to_csv",
-    "gauges_to_csv",
     "prometheus_text",
     "write_obs_outputs",
     "SPAN_KINDS",
@@ -115,14 +107,15 @@ __all__ = [
     "SpanTracker",
     "spans_to_jsonl",
     "spans_to_chrome",
+    "GAUGES",
+    "WindowEngine",
+    "GaugeSampler",
     "TIMESERIES_COLUMNS",
     "TimeSeriesAggregator",
-    "timeseries_to_csv",
-    "timeseries_to_json",
     "TENANT_TIMESERIES_COLUMNS",
     "TenantRange",
     "TenantSeriesAggregator",
-    "tenant_timeseries_to_csv",
-    "tenant_timeseries_to_json",
+    "windows_to_csv",
+    "windows_to_json",
     "SelfProfiler",
 ]

@@ -5,8 +5,9 @@ Four render targets for the same captured data:
 * :func:`events_to_jsonl` -- one JSON object per line
   (``{"ts": .., "name": .., "args": {..}}``), the machine-readable
   event stream;
-* :func:`events_to_csv` / :func:`gauges_to_csv` -- flat tables for
-  pandas/gnuplot;
+* :func:`events_to_csv` -- a flat table for pandas/gnuplot (the gauge
+  and window views have their own CSV and JSON writers in
+  :mod:`repro.obs.windows`);
 * :func:`prometheus_text` -- the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` plus samples). Every counter in the
   :mod:`repro.obs.counters` registry is emitted even at zero, so a
@@ -19,7 +20,7 @@ Four render targets for the same captured data:
   ("i") events, and gauge series counter ("C") tracks.
 
 :data:`OBS_EXPORTS` names every export of one machine -- these four
-plus the span and time-series renderers -- by kind, with its file name.
+plus the span and window renderers -- by kind, with its file name.
 :func:`write_obs_outputs` writes each one the machine's enabled layers
 can render; ``repro obs --artifact KIND`` prints one to stdout.
 """
@@ -37,21 +38,18 @@ from typing import (
 )
 
 from .counters import COUNTERS
-from .sampler import GAUGES
 from .spans import spans_to_chrome, spans_to_jsonl
-from .tenants import tenant_timeseries_to_csv, tenant_timeseries_to_json
-from .timeseries import timeseries_to_csv, timeseries_to_json
 from .tracepoints import TraceRecord
+from .windows import GAUGES, windows_to_csv, windows_to_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.stats import Stats
     from .hist import Histogram
-    from .sampler import GaugeSampler
+    from .windows import GaugeSampler
 
 __all__ = [
     "events_to_jsonl",
     "events_to_csv",
-    "gauges_to_csv",
     "prometheus_text",
     "chrome_trace",
     "OBS_EXPORTS",
@@ -127,20 +125,6 @@ def events_to_csv(records: Iterable[TraceRecord]) -> str:
     return buf.getvalue()
 
 
-def gauges_to_csv(sampler: "GaugeSampler") -> str:
-    """Wide CSV of every gauge series, one row per sample time."""
-    rows = sampler.as_rows()
-    names = sorted(sampler.series)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["time_cycles"] + names)
-    for row in rows:
-        writer.writerow(
-            [row["time_cycles"]] + [row.get(name, "") for name in names]
-        )
-    return buf.getvalue()
-
-
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
@@ -166,12 +150,9 @@ def prometheus_text(
         out.append(f"# TYPE {metric} counter")
         out.append(f"{metric} {stats.counters.get(name, 0.0):g}")
 
-    gauge_names = sorted(
-        set(GAUGES) | (set(sampler.series) if sampler is not None else set())
-    )
-    for name in gauge_names:
+    for name, (help_text, _read) in sorted(GAUGES.items()):
         metric = metric_name(name)
-        out.append(f"# HELP {metric} {GAUGES.get(name, 'gauge')}")
+        out.append(f"# HELP {metric} {help_text}")
         out.append(f"# TYPE {metric} gauge")
         latest = sampler.latest(name) if sampler is not None else None
         out.append(f"{metric} {0.0 if latest is None else latest:g}")
@@ -290,8 +271,8 @@ def chrome_trace(
         )
 
     if sampler is not None:
-        for name, series in sorted(sampler.series.items()):
-            for ts, value in series:
+        for name in sorted(GAUGES):
+            for ts, value in sampler.series(name):
                 events.append(
                     {
                         "ph": "C",
@@ -322,19 +303,19 @@ OBS_EXPORTS: Dict[str, Tuple[str, Optional[str], Callable[[Any], str]]] = {
         m.stats, m.obs.sampler, m.obs.histograms)),
     "chrome": ("trace.json", None, lambda m: json.dumps(chrome_trace(
         m.obs.records(), m.obs.sampler, m.platform.freq_ghz))),
-    "gauges": ("gauges.csv", "sampler", lambda m: gauges_to_csv(m.obs.sampler)),
+    "gauges": ("gauges.csv", "sampler", lambda m: windows_to_csv(m.obs.sampler)),
     "spans": ("spans.jsonl", "spans",
               lambda m: spans_to_jsonl(m.obs.spans.spans())),
     "spans_chrome": ("spans_trace.json", "spans", lambda m: json.dumps(
         spans_to_chrome(m.obs.spans.spans(), m.platform.freq_ghz))),
     "timeseries": ("timeseries.csv", "timeseries",
-                   lambda m: timeseries_to_csv(m.obs.timeseries)),
+                   lambda m: windows_to_csv(m.obs.timeseries)),
     "timeseries_json": ("timeseries.json", "timeseries",
-                        lambda m: timeseries_to_json(m.obs.timeseries)),
+                        lambda m: windows_to_json(m.obs.timeseries)),
     "tenant_timeseries": ("tenant_timeseries.csv", "tenant_series",
-                          lambda m: tenant_timeseries_to_csv(m.obs.tenant_series)),
+                          lambda m: windows_to_csv(m.obs.tenant_series)),
     "tenant_timeseries_json": ("tenant_timeseries.json", "tenant_series",
-                               lambda m: tenant_timeseries_to_json(m.obs.tenant_series)),
+                               lambda m: windows_to_json(m.obs.tenant_series)),
 }
 
 

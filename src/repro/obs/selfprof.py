@@ -9,8 +9,9 @@ per step) and bucketing by the process's name:
 * ``app`` -- application threads, including the two-speed fast path's
   inline batches (they execute inside the app process's step);
 * ``kswapd`` / ``kpromote`` / ``scanner`` -- the daemons;
-* ``obs`` -- the observability layer's own processes (gauge sampler,
-  timeseries aggregator), so observation overhead is itself observable;
+* ``obs`` -- the observability layer's own processes (one per enabled
+  :mod:`repro.obs.windows` view: ``obs.sampler``, ``obs.timeseries``,
+  ``obs.tenants``), so observation overhead is itself observable;
 * ``other`` -- anything else (tests spawning ad-hoc processes).
 
 Subsystem buckets are disjoint slices of the run loop, so their sum is

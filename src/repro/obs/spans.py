@@ -106,14 +106,9 @@ class SpanTracker:
     must degrade gracefully.
     """
 
-    def __init__(
-        self,
-        machine: "Machine",
-        capacity: int = 16384,
-        overwrite: bool = True,
-    ) -> None:
+    def __init__(self, machine: "Machine", capacity: int = 16384) -> None:
         self.machine = machine
-        self.ring = TraceRing(capacity=capacity, overwrite=overwrite)
+        self.ring = TraceRing(capacity=capacity)
         self._open: Dict[Tuple[str, int], _OpenSpan] = {}
         self.orphan_ends = 0
         self.reopened = 0

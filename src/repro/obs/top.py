@@ -1,9 +1,11 @@
 """``repro top``: a live, terminal-only view of a running cell.
 
-Tails the :class:`~repro.obs.timeseries.TimeSeriesAggregator` window
-stream and redraws one dashboard frame per closed window: migration and
-fault rates for the window, the abort rate with a trend bar, boundary
-queue/shadow gauges, and the window's TPM latency percentiles. Pure
+Tails the machine-wide window view of :mod:`repro.obs.windows`
+(:class:`~repro.obs.windows.TimeSeriesAggregator`) through its
+``on_window`` feed and redraws one dashboard frame per closed window:
+migration and fault rates for the window, the abort rate with a trend
+bar, boundary queue/shadow gauges, and the window's TPM latency
+percentiles. Pure
 stdlib -- on a TTY the frame is repainted in place with ANSI
 cursor-home + clear; on anything else (pipes, CI logs, tests) each
 frame is printed sequentially with a separator, so the command is
@@ -13,7 +15,7 @@ Rendering is split from driving: :func:`render_frame` is a pure
 ``rows -> str`` function (unit-testable), :func:`run_top` wires it to a
 machine/workload pair and runs the simulation. The consumer only reads
 closed window rows, so a ``repro top`` run is simulation-identical to
-the same cell run without it (the invariance test pins the aggregator).
+the same cell run without it (the invariance test pins the window view).
 """
 
 from __future__ import annotations

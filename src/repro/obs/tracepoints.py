@@ -8,11 +8,9 @@ is the simulator's equivalent:
 * :data:`TRACEPOINTS` is the catalog -- every event name is declared
   once with its payload fields, so a typo'd emit or a missing field
   raises instead of silently producing an unplottable stream;
-* :class:`TraceRing` is the ftrace-style bounded ring buffer. Two
-  overflow modes mirror ftrace's: ``overwrite=True`` (the default,
-  ftrace's producer-wins mode) drops the *oldest* record, a one-shot
-  ``overwrite=False`` buffer drops the *newest*; either way every
-  dropped record is counted, never silently lost;
+* :class:`TraceRing` is the ftrace-style bounded ring buffer in
+  ftrace's default producer-wins mode: when full it drops the *oldest*
+  record, and it counts every dropped record, never losing one silently;
 * :class:`ObsManager` is the per-machine faucet. It is always
   constructed (instrumentation sites call ``machine.obs.emit(...)``
   unconditionally) but records nothing until :meth:`ObsManager.enable`
@@ -30,7 +28,8 @@ from .hist import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..system import Machine
-    from .sampler import GaugeSampler
+    from .spans import SpanTracker
+    from .windows import GaugeSampler, TenantSeriesAggregator, TimeSeriesAggregator
 
 __all__ = [
     "TracepointSpec",
@@ -51,13 +50,9 @@ class TracepointSpec:
     fields: Tuple[str, ...]
     doc: str
 
-    @property
-    def fieldset(self) -> frozenset:
-        return _FIELDSETS[self.name]
 
-
-# Per-spec frozen field sets, built at registration: the strict emit
-# check compares against these instead of rebuilding a set per event.
+# Per-spec frozen field sets, built at registration: the emit check
+# compares against these instead of rebuilding a set per event.
 _FIELDSETS: Dict[str, frozenset] = {}
 
 
@@ -179,28 +174,21 @@ class TraceRecord:
 class TraceRing:
     """Bounded ring buffer with explicit drop accounting.
 
-    ``overwrite=True`` keeps the newest ``capacity`` records (dropping
-    from the head, ftrace's default); ``overwrite=False`` keeps the
-    oldest and drops new arrivals (ftrace's one-shot mode). ``dropped``
-    counts every record lost either way.
+    Keeps the newest ``capacity`` records, dropping from the head
+    (ftrace's default mode); ``dropped`` counts every record lost.
     """
 
-    def __init__(self, capacity: int = 65536, overwrite: bool = True) -> None:
+    def __init__(self, capacity: int = 65536) -> None:
         if capacity <= 0:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
-        self.overwrite = overwrite
         self.dropped = 0
         self._records: Deque[Any] = deque()
 
     def append(self, record: Any) -> None:
         if len(self._records) >= self.capacity:
-            if self.overwrite:
-                self._records.popleft()
-                self.dropped += 1
-            else:
-                self.dropped += 1
-                return
+            self._records.popleft()
+            self.dropped += 1
         self._records.append(record)
 
     def __len__(self) -> int:
@@ -230,7 +218,7 @@ HISTOGRAM_SPECS: Dict[str, Tuple[float, float, int]] = {
 
 
 class ObsManager:
-    """Per-machine observability faucet: ring + histograms + sampler.
+    """Per-machine observability faucet: ring + histograms + windows.
 
     Construction is free and side-effect free; everything is a no-op
     until :meth:`enable`. Instrumentation sites therefore call
@@ -242,15 +230,14 @@ class ObsManager:
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.enabled = False
-        self.strict = True
         self.ring: Optional[TraceRing] = None
         self.histograms: Dict[str, Histogram] = {}
         self.sampler: Optional["GaugeSampler"] = None
         # Second observability tier (all off by default; see enable_*):
         # span stitching, windowed time series, wall-clock self-profile.
-        self.spans = None  # SpanTracker
-        self.timeseries = None  # TimeSeriesAggregator
-        self.tenant_series = None  # TenantSeriesAggregator
+        self.spans: Optional["SpanTracker"] = None
+        self.timeseries: Optional["TimeSeriesAggregator"] = None
+        self.tenant_series: Optional["TenantSeriesAggregator"] = None
         self.selfprof = None  # SelfProfiler
         # emit() fan-out beyond the ring (the span tracker subscribes
         # here). Listeners receive the TraceRecord; they must only read
@@ -261,29 +248,26 @@ class ObsManager:
     def enable(
         self,
         capacity: int = 65536,
-        overwrite: bool = True,
         sample_period: Optional[float] = 50_000.0,
-        strict: bool = True,
     ) -> "ObsManager":
         """Start recording; idempotent.
 
-        ``sample_period`` (cycles) starts a :class:`GaugeSampler`
-        process; pass ``None`` to trace without gauge sampling.
-        ``strict`` validates every emit against the tracepoint catalog
-        (exact field match); disable for ad-hoc out-of-tree events.
+        ``capacity`` bounds the tracepoint ring. ``sample_period``
+        (cycles) starts a :class:`~repro.obs.windows.GaugeSampler`
+        process; pass ``None`` to trace without gauge sampling. Every
+        emit is checked against the tracepoint catalog (exact fields).
         """
         if self.enabled:
             return self
-        from .sampler import GaugeSampler
+        from .windows import GaugeSampler
 
-        self.ring = TraceRing(capacity=capacity, overwrite=overwrite)
+        self.ring = TraceRing(capacity=capacity)
         self.histograms = {
             name: Histogram.geometric(lo, hi, n, name=name)
             for name, (lo, hi, n) in HISTOGRAM_SPECS.items()
         }
-        self.strict = strict
         if sample_period is not None:
-            self.sampler = GaugeSampler(self.machine, period=sample_period)
+            self.sampler = GaugeSampler(self.machine, sample_period)
             self.sampler.start()
         self.enabled = True
         return self
@@ -291,7 +275,7 @@ class ObsManager:
     # ------------------------------------------------------------------
     # Second tier: spans, windowed time series, wall-clock self-profile
     # ------------------------------------------------------------------
-    def enable_spans(self, capacity: int = 16384, overwrite: bool = True):
+    def enable_spans(self) -> "SpanTracker":
         """Stitch tracepoints into lifecycle spans (idempotent).
 
         Enables the base layer first if needed: spans are derived purely
@@ -304,56 +288,49 @@ class ObsManager:
             self.enable(sample_period=None)
         from .spans import SpanTracker
 
-        self.spans = SpanTracker(self.machine, capacity=capacity,
-                                 overwrite=overwrite)
+        self.spans = SpanTracker(self.machine)
         self._listeners.append(self.spans.feed)
         return self.spans
 
     def enable_timeseries(
-        self, window_cycles: float = 100_000.0, capacity: int = 4096
-    ):
+        self, window_cycles: float = 100_000.0
+    ) -> "TimeSeriesAggregator":
         """Aggregate counters/gauges/span latencies into fixed windows.
 
         Implies :meth:`enable_spans` (per-window migration-latency
         percentiles are fed by closing spans). Returns the running
-        :class:`~repro.obs.timeseries.TimeSeriesAggregator`.
+        :class:`~repro.obs.windows.TimeSeriesAggregator`.
         """
         if self.timeseries is not None:
             return self.timeseries
         tracker = self.enable_spans()
-        from .timeseries import TimeSeriesAggregator
+        from .windows import TimeSeriesAggregator
 
-        self.timeseries = TimeSeriesAggregator(
-            self.machine, window_cycles=window_cycles, capacity=capacity
-        )
+        self.timeseries = TimeSeriesAggregator(self.machine, window_cycles)
         tracker.subscribe(self.timeseries.note_span)
         self.timeseries.start()
         return self.timeseries
 
     def enable_tenant_series(
-        self,
-        tenants,
-        window_cycles: float = 100_000.0,
-        capacity: int = 8192,
-    ):
+        self, tenants, window_cycles: float = 100_000.0
+    ) -> "TenantSeriesAggregator":
         """Aggregate per-tenant windows for a multi-tenant co-run.
 
         ``tenants`` is a sequence of
-        :class:`~repro.obs.tenants.TenantRange` (disjoint vpn ranges).
+        :class:`~repro.obs.windows.TenantRange` (disjoint vpn ranges).
         Implies :meth:`enable_spans` (per-tenant TPM latency percentiles
         are fed by closing spans, attributed by the span's vpn key) and
         registers an emit listener that attributes vpn-carrying
         tracepoints. Returns the running
-        :class:`~repro.obs.tenants.TenantSeriesAggregator`.
+        :class:`~repro.obs.windows.TenantSeriesAggregator`.
         """
         if self.tenant_series is not None:
             return self.tenant_series
         tracker = self.enable_spans()
-        from .tenants import TenantSeriesAggregator
+        from .windows import TenantSeriesAggregator
 
         self.tenant_series = TenantSeriesAggregator(
-            self.machine, tenants, window_cycles=window_cycles,
-            capacity=capacity,
+            self.machine, tenants, window_cycles
         )
         self._listeners.append(self.tenant_series.feed)
         tracker.subscribe(self.tenant_series.note_span)
@@ -379,12 +356,9 @@ class ObsManager:
 
     def disable(self) -> None:
         """Stop recording (collected data stays queryable)."""
-        if self.sampler is not None:
-            self.sampler.stop()
-        if self.timeseries is not None:
-            self.timeseries.stop()
-        if self.tenant_series is not None:
-            self.tenant_series.stop()
+        for view in (self.sampler, self.timeseries, self.tenant_series):
+            if view is not None:
+                view.stop()
         if self.selfprof is not None:
             self.selfprof.stop()
             self.machine.engine.profiler = None
@@ -403,16 +377,14 @@ class ObsManager:
         """Record one trace event at the current simulation time."""
         if not self.enabled:
             return
-        if self.strict:
-            expected = _FIELDSETS.get(name)
-            if expected is None:
-                raise ValueError(f"unknown tracepoint {name!r}")
-            if fields.keys() != expected:
-                spec = TRACEPOINTS[name]
-                raise ValueError(
-                    f"tracepoint {name!r} expects fields {spec.fields}, "
-                    f"got {tuple(sorted(fields))}"
-                )
+        expected = _FIELDSETS.get(name)
+        if expected is None:
+            raise ValueError(f"unknown tracepoint {name!r}")
+        if fields.keys() != expected:
+            raise ValueError(
+                f"tracepoint {name!r} expects fields "
+                f"{TRACEPOINTS[name].fields}, got {tuple(sorted(fields))}"
+            )
         record = TraceRecord(self.machine.engine.now, name, fields)
         self.ring.append(record)
         if self._listeners:
@@ -465,10 +437,9 @@ class ObsManager:
             },
         }
         if self.sampler is not None:
-            out["gauges"] = {
-                name: len(series)
-                for name, series in sorted(self.sampler.series.items())
-            }
+            # Samples per gauge, every gauge named (columns after time).
+            samples = Counter(name for row in self.sampler.rows for name in row)
+            out["gauges"] = {name: samples[name] for name in self.sampler.columns[1:]}
         executors = getattr(self.machine, "fastpath_executors", None)
         if executors:
             # Two-speed engagement (PR 6 telemetry, machine-wide totals).

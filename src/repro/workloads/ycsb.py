@@ -112,10 +112,6 @@ class YcsbWorkload(Workload):
         return vpns, writes
 
     # ------------------------------------------------------------------
-    @property
-    def ops_per_access_pair(self) -> int:
-        return 2
-
     def throughput_ops(self, accesses: int, cycles: float, freq_ghz: float) -> float:
         """Operations per second for a phase (Figure 11's metric)."""
         if cycles <= 0:

@@ -8,13 +8,12 @@ from repro.obs.export import (
     chrome_trace,
     events_to_csv,
     events_to_jsonl,
-    gauges_to_csv,
     metric_name,
     prometheus_text,
     write_obs_outputs,
 )
-from repro.obs.sampler import GAUGES
 from repro.obs.tracepoints import TraceRecord
+from repro.obs.windows import GAUGES, windows_to_csv
 
 _PROM_SAMPLE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$")
 
@@ -120,7 +119,7 @@ def test_chrome_trace_unpaired_begin_becomes_instant():
 
 def test_gauges_csv(traced_run):
     machine, _report = traced_run
-    text = gauges_to_csv(machine.obs.sampler)
+    text = windows_to_csv(machine.obs.sampler)
     lines = text.splitlines()
     assert lines[0].startswith("time_cycles,")
     assert "nomad.mpq_depth" in lines[0]

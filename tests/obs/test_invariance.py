@@ -44,7 +44,7 @@ def test_observation_changes_no_counters_or_clock():
     assert plain.engine.now == traced.engine.now
     # And the instrumented run did actually record things.
     assert traced.obs.records()
-    assert traced.obs.sampler.series["nomad.mpq_depth"]
+    assert traced.obs.sampler.series("nomad.mpq_depth")
 
 
 def test_second_tier_changes_no_counters_or_clock():

@@ -152,7 +152,7 @@ def test_sync_fallback_closed_only_by_promotion_direction_sync():
 # Ring bounds
 # ----------------------------------------------------------------------
 def test_span_ring_overflow_counts_drops():
-    t = tracker(capacity=4, overwrite=True)
+    t = tracker(capacity=4)
     for i in range(10):
         feed(
             t,

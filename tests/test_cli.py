@@ -163,6 +163,31 @@ def test_trace_and_spans_are_not_subcommands(command, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["micro", "--accesses", "0"],
+        ["obs", "--accesses", "-5"],
+        ["top", "--accesses", "0"],
+        ["obs", "--sample-period", "0"],
+        ["obs", "--window", "0"],
+        ["top", "--window", "-100"],
+        ["obs", "--capacity", "0"],
+        ["top", "--refresh", "0"],
+    ],
+    ids="_".join,
+)
+def test_nonpositive_values_exit_2_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {argv[1]}: must be positive, got {argv[2]}"
+    )
+
+
 def test_timeline_experiment(capsys):
     assert main(["run", "timeline", "--accesses", "30000"]) == 0
     out = capsys.readouterr().out
