@@ -122,6 +122,11 @@ class AccessEngine:
         self._wbin_list = [
             bisect_right(_LATENCY_EDGES_LIST, x) for x in self._wlat_list
         ]
+        # The batched fast path prices an access by one intp code,
+        # 2 * tier + is_store: its latency (in the dtype np.where gives)
+        # and its histogram bin, one gather each.
+        self.code_lat = np.stack((self.rlat, self.wlat), axis=1).ravel()
+        self.code_bin = np.stack((self._rbin_list, self._wbin_list), axis=1).ravel()
         # A huge mapping's TLB entry is keyed by its folio head vpn.
         self._folio_pages = machine.folio_pages
         self._folio_mask = ~(machine.folio_pages - 1)

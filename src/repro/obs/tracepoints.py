@@ -185,21 +185,20 @@ class TraceRing:
         self.dropped = 0
         self._records: Deque[Any] = deque()
 
-    def append(self, record: Any) -> None:
+    def append(self, record: Any) -> Optional[Any]:
+        """Append ``record``; return the record it dropped, if any."""
+        dropped = None
         if len(self._records) >= self.capacity:
-            self._records.popleft()
+            dropped = self._records.popleft()
             self.dropped += 1
         self._records.append(record)
+        return dropped
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._records)
-
-    def clear(self) -> None:
-        self._records.clear()
-        self.dropped = 0
 
     def records(self) -> List[Any]:
         return list(self._records)
@@ -231,6 +230,9 @@ class ObsManager:
         self.machine = machine
         self.enabled = False
         self.ring: Optional[TraceRing] = None
+        # Records in the ring per tracepoint name, kept at emit so that
+        # counts() need not walk the ring.
+        self._counts: Dict[str, int] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.sampler: Optional["GaugeSampler"] = None
         # Second observability tier (all off by default; see enable_*):
@@ -262,6 +264,7 @@ class ObsManager:
         from .windows import GaugeSampler
 
         self.ring = TraceRing(capacity=capacity)
+        self._counts = {}
         self.histograms = {
             name: Histogram.geometric(lo, hi, n, name=name)
             for name, (lo, hi, n) in HISTOGRAM_SPECS.items()
@@ -386,7 +389,15 @@ class ObsManager:
                 f"{TRACEPOINTS[name].fields}, got {tuple(sorted(fields))}"
             )
         record = TraceRecord(self.machine.engine.now, name, fields)
-        self.ring.append(record)
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + 1
+        dropped = self.ring.append(record)
+        if dropped is not None:
+            left = counts[dropped.name] - 1
+            if left:
+                counts[dropped.name] = left
+            else:
+                del counts[dropped.name]
         if self._listeners:
             for listener in self._listeners:
                 listener(record)
@@ -415,11 +426,8 @@ class ObsManager:
         return [r for r in self.records() if r.name == name]
 
     def counts(self) -> Counter:
-        counter: Counter = Counter()
-        if self.ring is not None:
-            for record in self.ring:
-                counter[record.name] += 1
-        return counter
+        """Records in the ring per tracepoint name."""
+        return Counter(self._counts)
 
     @property
     def dropped(self) -> int:

@@ -41,7 +41,7 @@ import numpy as np
 from ..mmu.pte import PTE_PRESENT, PTE_PROT_NONE, PTE_WRITE
 from .bus import ChunkExecuted
 from .scheduler import record_chunk
-from .stats import LATENCY_BIN_EDGES, NR_LATENCY_BINS, WindowSample
+from .stats import NR_LATENCY_BINS, WindowSample
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.cpu import Cpu
@@ -155,8 +155,10 @@ class FastPathExecutor:
             return 0
         vpns = vpns[: nclean * n0]
         writes = writes[: nclean * n0]
-        t = m.tiers.tier_of_gpfn[pt.gpfn[vpns]]
-        lat = np.where(writes, access.wlat[t], access.rlat[t])
+        # One code per access, 2 * tier + is_store, prices it through
+        # AccessEngine's code tables: the slow path's latency and bin.
+        code = m.tiers.tier_of_gpfn[pt.gpfn[vpns]].astype(np.intp) * 2 + writes
+        lat = access.code_lat[code]
         # Row-wise pairwise sums over contiguous rows: bit-identical to
         # the slow path's per-chunk 1D sums.
         seg_sums = lat.reshape(nclean, n0).sum(axis=1).tolist()
@@ -210,7 +212,7 @@ class FastPathExecutor:
         access.commit_run(
             pt, tlb_mask, vpns, writes if any_w else None, f[:mj], ts
         )
-        bins = np.searchsorted(LATENCY_BIN_EDGES, lat2d, side="right")
+        bins = access.code_bin[code[:mj]].reshape(j, n0)
         bins += np.arange(j)[:, None] * NR_LATENCY_BINS
         hist2d = np.bincount(
             bins.reshape(-1), minlength=j * NR_LATENCY_BINS

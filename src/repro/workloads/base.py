@@ -27,11 +27,13 @@ class ChunkStream:
     The two-speed fast path (:mod:`repro.sim.fastpath`) validates
     several upcoming chunks in one vectorized pass, so it needs to see
     ahead of the chunk it is about to execute. Peeking buffers whole
-    chunks: the underlying ``generate(n)`` call sequence (and with it
-    every seeded workload's RNG draw pattern) is exactly what a plain
+    chunks: the chunk sequence is exactly what a plain
     ``for chunk in workload.chunks()`` loop would produce -- lookahead
-    only shifts *when* a chunk is generated, never the argument
-    sequence, which is what keeps buffered streaming bit-identical.
+    only shifts *when* a chunk is drawn, never which accesses it holds,
+    which is what keeps buffered streaming bit-identical. (How
+    ``chunks()`` maps chunks onto ``generate(n)`` calls is the
+    workload's business: :class:`~repro.workloads.ZipfianMicrobench`
+    draws 32 chunks per call.)
     """
 
     def __init__(self, it: Iterator[Tuple[np.ndarray, np.ndarray]]) -> None:
@@ -55,11 +57,46 @@ class ChunkStream:
         return self._buf.popleft()
 
 
+# Largest guide table a ZipfGenerator builds: 2^20 buckets (8 MiB).
+GUIDE_BITS_MAX = 20
+
+
+def _guide_table(cdf: np.ndarray) -> Optional[np.ndarray]:
+    """The guide table of a CDF, or None when none is small enough.
+
+    For the smallest power of two ``M`` whose buckets ``[b/M, (b+1)/M)``
+    each hold at most one CDF point, ``guide[b]`` counts the points
+    below ``b/M``. A key ``u`` then has at most one point in
+    ``[floor(u*M)/M, u)``, so ``guide[floor(u*M)]`` plus whether the
+    point it indexes is below ``u`` is ``searchsorted(cdf, u, "left")``.
+    Scaling by a power of two is exact, so every bucket test is too.
+    """
+    # floor(cdf * 2^k) is this fixed-point value shifted right by
+    # GUIDE_BITS_MAX - k, so two neighbouring points whose values first
+    # differ in bit p share a bucket exactly when k < GUIDE_BITS_MAX - p.
+    # The smallest XOR of two neighbours has the lowest highest bit.
+    fixed = (cdf * (1 << GUIDE_BITS_MAX)).astype(np.int64)
+    closest = int((fixed[1:] ^ fixed[:-1]).min(initial=1 << GUIDE_BITS_MAX))
+    if not closest:
+        return None
+    bits = GUIDE_BITS_MAX + 1 - closest.bit_length()
+    m = 1 << bits
+    counts = np.bincount(fixed >> (GUIDE_BITS_MAX - bits), minlength=m + 1)[:m]
+    guide = np.cumsum(counts)
+    guide -= counts
+    return guide
+
+
 class ZipfGenerator:
     """Zipfian rank sampler (the paper's micro-benchmark distribution).
 
-    Rank 0 is the hottest item. Uses an exact inverse-CDF table, fine
-    for the tens of thousands of items the simulation scale needs.
+    Rank 0 is the hottest item. Inverts the CDF with a guide table: the
+    smallest power-of-two bucket grid that puts at most one CDF point in
+    each bucket turns the binary search into one table lookup and one
+    comparison, exact for every key (see :func:`_guide_table`). When
+    no grid of at most ``2**GUIDE_BITS_MAX`` buckets separates the
+    points (very skewed or very large distributions), it falls back to
+    ``np.searchsorted`` over the CDF, the reference both ways agree with.
     """
 
     def __init__(self, n: int, theta: float = 0.99, seed: int = 0) -> None:
@@ -72,12 +109,18 @@ class ZipfGenerator:
         weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
+        self._guide = _guide_table(self._cdf)
         self._rng = np.random.default_rng(seed)
 
     def sample(self, size: int) -> np.ndarray:
         """Draw ``size`` ranks in [0, n)."""
         u = self._rng.random(size)
-        return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
+        guide = self._guide
+        if guide is None:
+            return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
+        ranks = guide[(u * len(guide)).astype(np.intp)]
+        ranks += self._cdf[ranks] < u
+        return ranks
 
     def probability(self, rank: int) -> float:
         """Access probability of a rank (for analysis/tests)."""

@@ -28,6 +28,7 @@ from repro.debug import DebugConfig
 from repro.mmu import access as access_mod
 from repro.mmu.pte import PTE_HUGE
 from repro.policies import make_policy
+from repro.sim.platform import Platform
 from repro.workloads.base import ChunkStream, Workload
 
 from ..conftest import tiny_platform
@@ -75,6 +76,9 @@ def _snapshot(machine, report, space):
         "window_hists": np.array(
             [w.latency_hist for w in machine.stats.windows]
         ),
+        "windows": [
+            (w.start, w.end, w.reads, w.writes) for w in machine.stats.windows
+        ],
     }
 
 
@@ -87,6 +91,8 @@ def _assert_identical(fast, slow):
     for key in ("flags", "gpfn", "last_access", "last_write"):
         np.testing.assert_array_equal(fast[key], slow[key], err_msg=key)
     assert fast["tlb"] == slow["tlb"]
+    assert fast["windows"] == slow["windows"]
+    np.testing.assert_array_equal(fast["window_hists"], slow["window_hists"])
 
 
 @settings(max_examples=15, deadline=None)
@@ -120,21 +126,40 @@ def executors(monkeypatch):
     return captured
 
 
-def test_vectorized_batch_commit_engages_and_matches(executors):
-    """A fault-free streaming run must take the vectorized batch path --
-    guarding against silent de-vectorization -- and still match the slow
-    path exactly."""
-    # Sequential sweeps over an all-fast working set: zero runtime
+def _assert_batches_engage_and_match(executors, fast_fraction):
+    # Sequential sweeps with every third access a store: zero runtime
     # faults after populate, uniform chunks -- the vectorized cell.
     trace = [(i % 64, i % 3 == 0) for i in range(4000)]
-    fast = _run_trace("no-migration", 64, 1.0, trace, True, chunk=50)
+    fast = _run_trace("no-migration", 64, fast_fraction, trace, True, chunk=50)
     assert executors, "fast path never constructed despite fastpath_enabled"
     assert sum(e.vector_batches for e in executors) > 0, (
         "vectorized batch commit never engaged on a fault-free stream"
     )
     assert sum(e.slow_chunks for e in executors) == 0
-    slow = _run_trace("no-migration", 64, 1.0, trace, False, chunk=50)
+    slow = _run_trace("no-migration", 64, fast_fraction, trace, False, chunk=50)
     _assert_identical(fast, slow)
+
+
+def test_vectorized_batch_commit_engages_and_matches(executors):
+    """A fault-free streaming run must take the vectorized batch path --
+    guarding against silent de-vectorization -- and still match the slow
+    path exactly."""
+    _assert_batches_engage_and_match(executors, 1.0)
+
+
+def test_vectorized_batch_commit_matches_across_tiers(executors, monkeypatch):
+    """The same stream over a working set split between the tiers, with
+    stores dearer than loads: the batch prices each (tier, store) pair
+    as the slow path does."""
+    cost_model = Platform.cost_model
+    monkeypatch.setattr(
+        Platform,
+        "cost_model",
+        lambda self: dataclasses.replace(
+            cost_model(self), write_latency=(400.0, 1200.0)
+        ),
+    )
+    _assert_batches_engage_and_match(executors, 0.5)
 
 
 class FirstTouchWorkload(Workload):
@@ -252,9 +277,6 @@ def _commit_arms(run):
 def _assert_commits_identical(vector, scalar):
     _assert_identical(vector, scalar)
     assert vector.get("published") == scalar.get("published")
-    np.testing.assert_array_equal(
-        vector["window_hists"], scalar["window_hists"]
-    )
 
 
 @settings(max_examples=15, deadline=None)

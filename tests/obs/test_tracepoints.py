@@ -1,13 +1,17 @@
 """The tracepoint catalog, ring buffer, and per-machine ObsManager."""
 
+from collections import Counter
+
 import pytest
 
+from repro.bench.runner import build_machine
 from repro.obs.tracepoints import (
     TRACEPOINTS,
     TraceRecord,
     TraceRing,
     register_tracepoint,
 )
+from repro.workloads import ZipfianMicrobench
 
 from ..conftest import make_machine
 
@@ -17,8 +21,8 @@ from ..conftest import make_machine
 # ----------------------------------------------------------------------
 def test_overwrite_ring_keeps_newest_and_counts_drops():
     ring = TraceRing(capacity=4)
-    for i in range(10):
-        ring.append(i)
+    dropped = [ring.append(i) for i in range(10)]
+    assert dropped == [None] * 4 + [0, 1, 2, 3, 4, 5]
     assert len(ring) == 4
     assert ring.records() == [6, 7, 8, 9]
     assert ring.dropped == 6
@@ -29,15 +33,6 @@ def test_ring_no_drops_below_capacity():
     ring.append(1)
     assert ring.dropped == 0
     assert list(ring) == [1]
-
-
-def test_ring_clear_resets_drop_counter():
-    ring = TraceRing(capacity=1)
-    ring.append(1)
-    ring.append(2)
-    assert ring.dropped == 1
-    ring.clear()
-    assert len(ring) == 0 and ring.dropped == 0
 
 
 def test_ring_rejects_nonpositive_capacity():
@@ -126,6 +121,22 @@ def test_observe_creates_unspecced_histogram_on_demand():
     m.obs.enable(sample_period=None)
     m.obs.observe("adhoc.cycles", 123.0)
     assert m.obs.histograms["adhoc.cycles"].total == 1
+
+
+def test_counts_equal_a_recount_of_an_overflowed_ring():
+    """counts() is kept at emit; after a Nomad run that overflows a small
+    ring it must still equal a full recount, with no zero entries."""
+    machine = build_machine("A", "nomad")
+    machine.obs.enable(capacity=64, sample_period=None)
+    workload = ZipfianMicrobench.scenario(
+        "medium", write_ratio=0.3, total_accesses=20_000
+    )
+    report = machine.run_workload(workload)
+    recount = Counter(record.name for record in machine.obs.ring)
+    assert machine.obs.dropped > 0
+    assert len(recount) > 1
+    assert dict(machine.obs.counts()) == dict(recount)
+    assert report.obs["events"] == dict(recount)
 
 
 def test_ring_overflow_surfaces_in_dropped_property():
