@@ -214,9 +214,10 @@ class NomadPolicy(TieringPolicy):
         if not frame.flags & _REF_OR_ACTIVE:
             return False
         threshold = request.enqueue_ts + self._hot_gap
+        order = frame.order
         for space, vpn in frame.rmap:
             pt = space.page_table
-            if frame.order:
+            if order:
                 nr = frame.nr_pages
                 if (
                     pt.any_flags_range(vpn, nr, PTE_ACCESSED)
@@ -224,8 +225,8 @@ class NomadPolicy(TieringPolicy):
                 ):
                     return True
             elif (
-                pt.flags[vpn] & PTE_ACCESSED
-                and pt.last_access[vpn] > threshold
+                pt.flags.item(vpn) & PTE_ACCESSED
+                and pt.last_access.item(vpn) > threshold
             ):
                 return True
         return False

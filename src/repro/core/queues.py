@@ -89,7 +89,8 @@ class PromotionCandidateQueue:
 
         Scans from the oldest end, requeueing cold entries, so the scan
         cost per fault stays bounded (the paper's check is O(1)-ish per
-        fault, piggybacked on queue maintenance).
+        fault, piggybacked on queue maintenance). A cold entry moves to
+        the tail and stays a member; stale and hot ones leave.
         """
         hot = []
         queue = self._queue
@@ -97,23 +98,15 @@ class PromotionCandidateQueue:
         for _ in range(min(limit, len(queue))):
             request = queue.popleft()
             frame = request.frame
-            del members[id(frame)]
             if not frame.rmap or frame.generation != request.generation:
+                del members[id(frame)]
                 continue  # stale: freed or reallocated since enqueue
             if is_hot(request):
+                del members[id(frame)]
                 hot.append(request)
             else:
                 queue.append(request)
-                members[id(frame)] = request
         return hot
-
-    def discard(self, frame: Frame) -> None:
-        request = self._members.pop(id(frame), None)
-        if request is not None:
-            try:
-                self._queue.remove(request)
-            except ValueError:  # pragma: no cover - members/queue in sync
-                pass
 
 
 class MigrationPendingQueue:
@@ -168,7 +161,7 @@ class MigrationPendingQueue:
         return True
 
     def pop(self) -> Optional[MigrationRequest]:
-        while self._queue:
+        if self._queue:
             request = self._queue.popleft()
             del self._members[id(request.frame)]
             if self.obs is not None:

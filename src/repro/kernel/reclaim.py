@@ -271,7 +271,7 @@ class Kswapd:
                     return True
             return False
         for space, vpn in frame.rmap:
-            if space.page_table.flags[vpn] & PTE_ACCESSED:
+            if space.page_table.flags.item(vpn) & PTE_ACCESSED:
                 return True
         return False
 

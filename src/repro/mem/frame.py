@@ -68,32 +68,29 @@ class Frame:
     def clear_flag(self, flag: int) -> None:
         self.flags &= ~flag
 
-    def test_flag(self, flag: int) -> bool:
-        return bool(self.flags & flag)
-
     @property
     def locked(self) -> bool:
-        return self.test_flag(FrameFlags.LOCKED)
+        return self.flags & FrameFlags.LOCKED != 0
 
     @property
     def active(self) -> bool:
-        return self.test_flag(FrameFlags.ACTIVE)
+        return self.flags & FrameFlags.ACTIVE != 0
 
     @property
     def referenced(self) -> bool:
-        return self.test_flag(FrameFlags.REFERENCED)
+        return self.flags & FrameFlags.REFERENCED != 0
 
     @property
     def on_lru(self) -> bool:
-        return self.test_flag(FrameFlags.LRU)
+        return self.flags & FrameFlags.LRU != 0
 
     @property
     def shadowed(self) -> bool:
-        return self.test_flag(FrameFlags.SHADOWED)
+        return self.flags & FrameFlags.SHADOWED != 0
 
     @property
     def is_shadow(self) -> bool:
-        return self.test_flag(FrameFlags.IS_SHADOW)
+        return self.flags & FrameFlags.IS_SHADOW != 0
 
     # -- compound (folio) state -----------------------------------------
     @property

@@ -25,7 +25,7 @@ from typing import Callable, Deque, List, Optional, Set
 
 import numpy as np
 
-from .frame import Frame, FrameFlags
+from .frame import Frame
 
 __all__ = ["MemoryNode", "OutOfMemoryError"]
 
@@ -205,7 +205,7 @@ class MemoryNode:
             )
         if frame.mapped:
             raise RuntimeError(f"freeing mapped pfn {frame.pfn}")
-        if frame.test_flag(FrameFlags.LOCKED):
+        if frame.locked:
             raise RuntimeError(f"freeing locked pfn {frame.pfn}")
         if frame.pfn in self._free_set:
             raise RuntimeError(f"double free detected on node {self.node_id}")

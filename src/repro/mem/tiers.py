@@ -67,6 +67,10 @@ class TieredMemory:
         for tier, (_, pages) in enumerate(specs):
             start = self._base[tier]
             self.tier_of_gpfn[start : start + pages] = tier
+        # One flat gpfn -> Frame table: nodes never replace their frames.
+        self._frames: List[Frame] = [
+            frame for node in self.nodes for frame in node.frames
+        ]
         # Fallback order per preferred tier: walk down the chain first
         # (spill to slower tiers), then back up. For two tiers this is
         # the historical (0, 1)/(1, 0) flip.
@@ -113,10 +117,10 @@ class TieredMemory:
 
     def frame(self, gpfn: int) -> Frame:
         """Frame for a global frame number."""
-        if gpfn < 0 or gpfn >= self.total_pages:
+        frames = self._frames
+        if gpfn < 0 or gpfn >= len(frames):
             raise IndexError(f"gpfn {gpfn} out of range")
-        tier = int(self.tier_of_gpfn[gpfn])
-        return self.nodes[tier].frame(gpfn - self._base[tier])
+        return frames[gpfn]
 
     def tier_of(self, gpfn: int) -> int:
         return int(self.tier_of_gpfn[gpfn])

@@ -92,8 +92,8 @@ class PageTable:
         Returns ``(flags, gpfn)`` as they were before clearing.
         """
         self._check(vpn)
-        flags = int(self.flags[vpn])
-        gpfn = int(self.gpfn[vpn])
+        flags = self.flags.item(vpn)
+        gpfn = self.gpfn.item(vpn)
         self.version += 1
         self.flags[vpn] = 0
         self.gpfn[vpn] = -1
@@ -119,12 +119,12 @@ class PageTable:
     def set_flags(self, vpn: int, flags: int) -> None:
         self._check(vpn)
         self.version += 1
-        self.flags[vpn] |= np.uint32(flags)
+        self.flags[vpn] = self.flags.item(vpn) | flags
 
     def clear_flags(self, vpn: int, flags: int) -> None:
         self._check(vpn)
         self.version += 1
-        self.flags[vpn] &= np.uint32(~flags & 0xFFFFFFFF)
+        self.flags[vpn] = self.flags.item(vpn) & ~flags
 
     def test_flags(self, vpn: int, flags: int) -> bool:
         if not 0 <= vpn < self.nr_vpns:
@@ -149,7 +149,7 @@ class PageTable:
 
     def entry(self, vpn: int) -> Tuple[int, int]:
         self._check(vpn)
-        return int(self.flags[vpn]), int(self.gpfn[vpn])
+        return self.flags.item(vpn), self.gpfn.item(vpn)
 
     def mapped_vpns(self) -> np.ndarray:
         """All vpns with a present mapping (ascending)."""

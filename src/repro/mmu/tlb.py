@@ -100,7 +100,7 @@ class TlbDirectory:
         CPUs that had to be interrupted."""
         cpus = set()
         for cpu, mask in self._masks.get(asid, {}).items():
-            if vpn < len(mask) and mask[vpn]:
+            if vpn < len(mask) and mask.item(vpn):
                 cpus.add(cpu)
                 mask[vpn] = False
         self.shootdowns += 1

@@ -3,8 +3,9 @@
 The bench layer records cycles-per-second for the whole suite, which
 says whether the simulator got faster but not *what* to optimize next.
 :class:`SelfProfiler` attributes host nanoseconds to subsystems by
-timing every engine process resumption (one ``perf_counter_ns`` pair
-per step) and bucketing by the process's name:
+timing every run-loop step (one ``perf_counter_ns`` pair per heap pop;
+the inline resumptions of the same process that follow it are part of
+the step) and bucketing by the process's name:
 
 * ``app`` -- application threads, including the two-speed fast path's
   inline batches (they execute inside the app process's step);

@@ -343,8 +343,8 @@ class ObsManager:
     def enable_selfprof(self):
         """Attribute host wall time to subsystems (idempotent).
 
-        Purely wall-clock: the profiler hooks the engine's process
-        resumptions and never reads or writes simulated state, so it is
+        Purely wall-clock: the profiler hooks the engine's run-loop
+        steps and never reads or writes simulated state, so it is
         usable even with the rest of the faucet closed. Returns the
         :class:`~repro.obs.selfprof.SelfProfiler`.
         """

@@ -12,6 +12,15 @@ fully deterministic: ties are broken by a monotonically increasing
 sequence number, so two runs with the same seed produce identical
 schedules.
 
+A process whose numeric yield lands strictly before the queue head is
+resumed inline, with no heap push and pop: the run loop would pop that
+very entry next, with nothing in between (the event-horizon rule of
+:meth:`Engine.try_advance`, applied to every process). Inline resumption
+is refused whenever a resumption would be observable (tie jitter, the
+post-step hook, ``max_events``, ``until``, a triggered ``until_event``,
+``stop()``), so it never changes a schedule; it only changes what the
+run loop counts as a step.
+
 This is deliberately a from-scratch substrate (no SimPy) per the
 reproduction rules: the paper's mechanisms (transactional migration,
 TLB-shootdown ordering, daemon wakeups) are all expressed as processes on
@@ -121,14 +130,15 @@ class Engine:
         # The paranoid invariant checker installs itself here.
         self.post_step_hook = None
         # Optional wall-clock self-profiler (repro.obs.selfprof): when
-        # set, every process resumption is timed and attributed by
+        # set, every run-loop step (one pop, with any inline resumptions
+        # of the same process inside it) is timed and attributed by
         # process name. Host-clock only -- it cannot move simulated
-        # time, so (unlike post_step_hook) it does not disqualify the
-        # inline fast-path advance.
+        # time, so (unlike post_step_hook) it does not disqualify
+        # inline resumption.
         self.profiler = None
-        # Bounded inline time-advance (the two-speed fast path): while a
-        # process holds control inside run(), it may ask to move the
-        # clock forward without a heap round-trip via try_advance().
+        # Bounded inline time-advance: while a process holds control
+        # inside run(), the clock may move forward without a heap
+        # round-trip, at a numeric yield (_step) or by try_advance().
         # These mirror the active run() invocation's bounds so an inline
         # advance can never skip an event, overrun `until`, or miss an
         # `until_event` / stop() request.
@@ -165,6 +175,9 @@ class Engine:
         has triggered (checked between steps -- used to run "until this
         process finishes" while daemons keep the queue non-empty).
         Returns the final clock value.
+
+        With ``max_events`` set every resumption is a step of its own;
+        otherwise a step may resume its process several times inline.
         """
         count = 0
         prev_bounds = (self._run_until, self._run_until_event, self._inline_ok)
@@ -211,11 +224,14 @@ class Engine:
     def try_advance(self, target: float) -> bool:
         """Advance the clock to ``target`` without a heap round-trip.
 
-        The two-speed fast path calls this from inside a process step in
-        place of ``yield cycles``: when it returns True the clock has
-        moved to ``target`` and the caller may keep executing inline;
-        when it returns False the caller must yield normally so the run
-        loop can service whatever made the shortcut illegal.
+        A process calls this from inside its step in place of
+        ``yield cycles`` (the fast path's batch commit does, before it
+        commits): when it returns True the clock has moved to ``target``
+        and the caller may keep executing inline; when it returns False
+        the caller must yield normally so the run loop can service
+        whatever made the shortcut illegal. ``_step`` applies the same
+        rule to every numeric yield, so a plain ``yield cycles`` is
+        already resumed inline whenever this would have returned True.
 
         Skipping the push+pop is bit-exact because a fresh push always
         carries a larger sequence number than every queued entry: on a
@@ -228,6 +244,16 @@ class Engine:
         resumptions, and ``stop()`` / a triggered ``until_event`` /
         ``until`` must regain control at the next boundary.
         """
+        if not self._may_inline(target):
+            return False
+        if target < self.now:
+            raise SimulationError(f"try_advance to the past: {target} < {self.now}")
+        self.now = target
+        return True
+
+    def _may_inline(self, target: float) -> bool:
+        """Would the run loop resume the running process at ``target``
+        next, with nothing observable in between? (See try_advance.)"""
         if (
             not self._inline_ok
             or self._stopped
@@ -241,12 +267,8 @@ class Engine:
         ru = self._run_until
         if ru is not None and target > ru:
             return False
-        if self._queue and self._queue[0][0] <= target:
-            return False
-        if target < self.now:
-            raise SimulationError(f"try_advance to the past: {target} < {self.now}")
-        self.now = target
-        return True
+        queue = self._queue
+        return not queue or queue[0][0] > target
 
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest queued event, or None if idle.
@@ -287,28 +309,38 @@ class Engine:
         self._tie_rng = rng
 
     def _schedule(self, proc: Process, delay: float, value: Any) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r} from {proc.name!r}")
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(f"invalid delay {delay!r} from {proc.name!r}")
         tie = 0.0 if self._tie_rng is None else self._tie_rng.random()
         heapq.heappush(
             self._queue, (self.now + delay, tie, next(self._seq), proc, value)
         )
 
     def _step(self, proc: Process, value: Any) -> None:
-        try:
-            yielded = proc.gen.send(value)
-        except StopIteration as stop:
-            proc.alive = False
-            proc.result = stop.value
-            proc.done_event.succeed(stop.value)
-            return
-        if isinstance(yielded, Event):
-            yielded._add_waiter(proc)
-        elif isinstance(yielded, (int, float)):
-            self._schedule(proc, float(yielded), None)
-        else:
-            proc.alive = False
-            raise SimulationError(
-                f"process {proc.name!r} yielded {yielded!r}; expected a "
-                "number of cycles or an Event"
-            )
+        """Resume ``proc``, and keep resuming it inline while each
+        numeric yield may skip the heap (:meth:`_may_inline`)."""
+        send = proc.gen.send
+        while True:
+            try:
+                yielded = send(value)
+            except StopIteration as stop:
+                proc.alive = False
+                proc.result = stop.value
+                proc.done_event.succeed(stop.value)
+                return
+            if isinstance(yielded, Event):
+                yielded._add_waiter(proc)
+                return
+            if not isinstance(yielded, (int, float)):
+                proc.alive = False
+                raise SimulationError(
+                    f"process {proc.name!r} yielded {yielded!r}; expected a "
+                    "number of cycles or an Event"
+                )
+            delay = float(yielded)
+            target = self.now + delay
+            if not delay >= 0 or not self._may_inline(target):
+                self._schedule(proc, delay, None)
+                return
+            self.now = target
+            value = None

@@ -12,7 +12,8 @@ event, it commits them all at once, moving the clock with one
 :meth:`repro.sim.engine.Engine.try_advance` instead of a heap
 round-trip per chunk. Every other chunk runs through
 :meth:`repro.mmu.access.AccessEngine.run_chunk`, the slow path, which
-is the bit-exact reference.
+is the bit-exact reference, and yields its cycles; the engine resumes
+that yield inline under the same event-horizon rule.
 
 Bit-exactness contract (the bench-regression gate enforces it):
 
@@ -118,8 +119,9 @@ class FastPathExecutor:
             # Faults come in bursts: validating the chunk after a
             # faulting one is mostly wasted work.
             validate = not result.faults
-            if not engine.try_advance(start + cycles):
-                yield cycles
+            # The engine resumes this yield inline when no event is due
+            # at or before the chunk's end.
+            yield cycles
 
     def _commit_batch(
         self, workload: "Workload", cpu: "Cpu", chunks, stream, sink
@@ -226,6 +228,9 @@ class FastPathExecutor:
         else:
             nw_rows, wc_rows = [0] * j, [0.0] * j
         stats = m.stats
+        # No event runs inside the batch, so the counters cannot move
+        # between its windows: one mark serves them all.
+        mark = stats.counter_mark()
         for c in range(j):
             seg = seg_sums[c]
             wc = wc_rows[c]
@@ -242,7 +247,7 @@ class FastPathExecutor:
                 write_cycles=wc,
                 latency_hist=hist2d[c],
             )
-            stats.record_window(sample)
+            stats.record_window(sample, mark)
             sink(sample)
         self.fast_chunks += j
         self.vector_batches += 1

@@ -154,11 +154,19 @@ class Stats:
     # ------------------------------------------------------------------
     # Access windows / bandwidth
     # ------------------------------------------------------------------
-    def record_window(self, sample: WindowSample) -> None:
+    def counter_mark(self) -> Dict[str, float]:
+        """The tracked counters' current values (one ``window_marks`` entry)."""
+        counters = self.counters
+        return {key: counters.get(key, 0.0) for key in self.tracked_counters}
+
+    def record_window(
+        self, sample: WindowSample, mark: Optional[Dict[str, float]] = None
+    ) -> None:
+        """Append a window with its counter mark, by default a fresh
+        :meth:`counter_mark`. Windows recorded with no event in between
+        (one fast-path batch) may share one mark; marks are read-only."""
         self.windows.append(sample)
-        self.window_marks.append(
-            {key: self.counters.get(key, 0.0) for key in self.tracked_counters}
-        )
+        self.window_marks.append(self.counter_mark() if mark is None else mark)
 
     def phase_counter_delta(
         self, key: str, start_frac: float, end_frac: float

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from repro.core.nomad import NomadPolicy
+from repro.core.queues import MigrationRequest
+from repro.mem.frame import FrameFlags
 from repro.mmu.faults import UnhandledFault
-from repro.mmu.pte import PTE_PROT_NONE, PTE_SOFT_SHADOW_RW
+from repro.mmu.pte import PTE_ACCESSED, PTE_PROT_NONE, PTE_SOFT_SHADOW_RW
 
 from ..conftest import make_machine
 
@@ -234,6 +236,44 @@ def test_multimapped_page_falls_back_to_sync():
     assert m.stats.get("nomad.sync_fallbacks") == 1
     assert m.stats.get("nomad.tpm_commits") == 0
     assert m.tiers.tier_of(int(space.page_table.gpfn[vpn])) == 0
+
+
+def test_is_hot_reads_every_mapping_of_a_shared_base_frame():
+    """A doubly-mapped base frame is hot when only its second mapping was
+    touched after the threshold; a touch at exactly the threshold is
+    not reuse."""
+    m, policy, space = build()
+    (vpn,) = slow_page(m, space)
+    pt = space.page_table
+    gpfn = int(pt.gpfn[vpn])
+    frame = m.tiers.frame(gpfn)
+    frame.set_flag(FrameFlags.REFERENCED)
+    request = MigrationRequest(frame, space, vpn, frame.generation, enqueue_ts=1e6)
+    threshold = request.enqueue_ts + policy._hot_gap
+
+    # Sole mapping: accessed at exactly the threshold is not reuse.
+    pt.set_flags(vpn, PTE_ACCESSED)
+    pt.last_access[vpn] = threshold
+    assert not policy._is_hot(request)
+    pt.last_access[vpn] = threshold + 1.0
+    assert policy._is_hot(request)
+    pt.clear_flags(vpn, PTE_ACCESSED)
+    assert not policy._is_hot(request)
+
+    # Second mapping, touched after the threshold; the first is stale.
+    other = m.create_space("other")
+    ovma = other.mmap(1)
+    other.page_table.map(ovma.start, gpfn, PTE_ACCESSED)
+    frame.add_rmap(other, ovma.start)
+    pt.set_flags(vpn, PTE_ACCESSED)
+    pt.last_access[vpn] = threshold - 1.0
+    other.page_table.last_access[ovma.start] = threshold
+    assert not policy._is_hot(request)
+    other.page_table.last_access[ovma.start] = threshold + 1.0
+    assert policy._is_hot(request)
+    # Cold frames skip the walk.
+    frame.clear_flag(FrameFlags.REFERENCED | FrameFlags.ACTIVE)
+    assert not policy._is_hot(request)
 
 
 def test_shadowing_disabled_ablation():

@@ -1,6 +1,8 @@
 """PCQ and MPQ semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.queues import (
     MigrationPendingQueue,
@@ -87,13 +89,82 @@ def test_pcq_scan_drops_reallocated_frames():
     assert hot == []
 
 
-def test_pcq_discard():
-    pcq = PromotionCandidateQueue(8)
-    req = request()
-    pcq.push(req)
-    pcq.discard(req.frame)
-    assert len(pcq) == 0
-    pcq.discard(req.frame)  # idempotent
+def reference_scan_hot(pcq, is_hot, limit):
+    """The scan as first written: every probe leaves the member map, and
+    a cold probe is re-added when it is requeued."""
+    hot = []
+    queue = pcq._queue
+    members = pcq._members
+    for _ in range(min(limit, len(queue))):
+        request = queue.popleft()
+        frame = request.frame
+        del members[id(frame)]
+        if not frame.rmap or frame.generation != request.generation:
+            continue
+        if is_hot(request):
+            hot.append(request)
+        else:
+            queue.append(request)
+            members[id(frame)] = request
+    return hot
+
+
+_NR_FRAMES = 12
+_pcq_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, _NR_FRAMES - 1)),
+        st.tuples(st.just("unmap"), st.integers(0, _NR_FRAMES - 1)),
+        st.tuples(st.just("realloc"), st.integers(0, _NR_FRAMES - 1)),
+        st.tuples(
+            st.just("scan"),
+            st.frozensets(st.integers(0, _NR_FRAMES - 1)),
+            st.integers(0, 20),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16), _pcq_ops)
+def test_pcq_scan_matches_reference(capacity, ops):
+    """Random pushes, stale entries (rmap removed or generation bumped),
+    hot sets and limits: the scan returns the reference's hot list and
+    leaves the same queue order and the same members."""
+    space = AddressSpace(64)
+    frames = [Frame(pfn, 1) for pfn in range(_NR_FRAMES)]
+    for pfn, frame in enumerate(frames):
+        frame.add_rmap(space, pfn)
+    pcq = PromotionCandidateQueue(capacity)
+    ref = PromotionCandidateQueue(capacity)
+    for op in ops:
+        if op[0] == "push":
+            frame = frames[op[1]]
+            req = MigrationRequest(frame, space, op[1], frame.generation)
+            assert pcq.push(req) is ref.push(req)
+        elif op[0] == "unmap":
+            frame = frames[op[1]]
+            if frame.rmap:
+                frame.remove_rmap(space, op[1])
+        elif op[0] == "realloc":
+            frame = frames[op[1]]
+            if frame.rmap:
+                frame.remove_rmap(space, op[1])
+            frame.reset()
+            frame.add_rmap(space, op[1])
+        else:
+            _, hot_vpns, limit = op
+
+            def is_hot(request):
+                return request.vpn in hot_vpns
+
+            got = pcq.scan_hot(is_hot, limit)
+            want = reference_scan_hot(ref, is_hot, limit)
+            assert [id(r) for r in got] == [id(r) for r in want]
+        assert [id(r) for r in pcq._queue] == [id(r) for r in ref._queue]
+        assert {k: id(v) for k, v in pcq._members.items()} == {
+            k: id(v) for k, v in ref._members.items()
+        }
 
 
 def test_pcq_invalid_capacity():

@@ -79,6 +79,10 @@ def _snapshot(machine, report, space):
         "windows": [
             (w.start, w.end, w.reads, w.writes) for w in machine.stats.windows
         ],
+        "window_marks": list(machine.stats.window_marks),
+        "cpu_time": {
+            cpu: dict(cats) for cpu, cats in machine.stats.cpu_time.items()
+        },
     }
 
 
@@ -92,6 +96,8 @@ def _assert_identical(fast, slow):
         np.testing.assert_array_equal(fast[key], slow[key], err_msg=key)
     assert fast["tlb"] == slow["tlb"]
     assert fast["windows"] == slow["windows"]
+    assert fast["window_marks"] == slow["window_marks"]
+    assert fast["cpu_time"] == slow["cpu_time"]
     np.testing.assert_array_equal(fast["window_hists"], slow["window_hists"])
 
 
