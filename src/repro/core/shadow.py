@@ -1,10 +1,12 @@
 """Page shadowing: the non-exclusive tier state (Section 3.2).
 
 After a successful transactional promotion the old slow-tier frame is
-*kept* as a shadow copy of the new fast-tier master. The shadow index is
-an XArray mapping the master's global frame number to the shadow frame,
-exactly as the kernel prototype maps fast-tier physical addresses to
-slow-tier physical addresses.
+*kept* as a shadow copy of the new fast-tier master. The kernel
+prototype indexes shadows in an XArray keyed by the master's physical
+address and reclaims them by marked iteration. The model keeps that
+contract, not the radix-tree layout: a dict maps the master's global
+frame number to the shadow frame, and reclaim walks the entries in
+ascending master gpfn, the order the XArray iterates in.
 
 Invariants maintained here (and asserted in tests):
 
@@ -19,12 +21,11 @@ Invariants maintained here (and asserted in tests):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from ..mem.frame import Frame, FrameFlags
-from ..mem.xarray import XA_MARK_0, XArray
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..system import Machine
@@ -33,11 +34,11 @@ __all__ = ["ShadowIndex"]
 
 
 class ShadowIndex:
-    """XArray-backed index of master -> shadow frames."""
+    """Index of master -> shadow frames, keyed by the master's gpfn."""
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
-        self.xarray = XArray()
+        self.shadows: Dict[int, Frame] = {}
         # Base pages held by live shadows (a huge-folio shadow keeps the
         # whole slow-tier folio, so it pins nr_pages, not 1).
         self._pages = 0
@@ -45,20 +46,14 @@ class ShadowIndex:
     # ------------------------------------------------------------------
     @property
     def nr_shadows(self) -> int:
-        return len(self.xarray)
+        return len(self.shadows)
 
     @property
     def nr_shadow_pages(self) -> int:
         return self._pages
 
-    @property
-    def shadow_bytes(self) -> int:
-        from ..sim.costs import PAGE_SIZE
-
-        return self._pages * PAGE_SIZE
-
     def lookup(self, master: Frame) -> Optional[Frame]:
-        return self.xarray.load(self.machine.tiers.gpfn(master))
+        return self.shadows.get(self.machine.tiers.gpfn(master))
 
     # ------------------------------------------------------------------
     def insert(self, master: Frame, shadow: Frame) -> None:
@@ -72,12 +67,11 @@ class ShadowIndex:
                 f"shadow order {shadow.order} != master order {master.order}"
             )
         gpfn = self.machine.tiers.gpfn(master)
-        if self.xarray.load(gpfn) is not None:
+        if gpfn in self.shadows:
             raise RuntimeError(f"master gpfn {gpfn} already shadowed")
         master.set_flag(FrameFlags.SHADOWED)
         shadow.set_flag(FrameFlags.IS_SHADOW)
-        self.xarray.store(gpfn, shadow)
-        self.xarray.set_mark(gpfn, XA_MARK_0)  # reclaimable
+        self.shadows[gpfn] = shadow
         self._pages += shadow.nr_pages
         self.machine.stats.bump("nomad.shadows_created")
         self.machine.obs.emit(
@@ -95,7 +89,7 @@ class ShadowIndex:
         identical for every caller.
         """
         gpfn = self.machine.tiers.gpfn(master)
-        shadow = self.xarray.erase(gpfn)
+        shadow = self.shadows.pop(gpfn, None)
         if shadow is None:
             return None
         master.clear_flag(FrameFlags.SHADOWED)
@@ -112,7 +106,7 @@ class ShadowIndex:
         """Remove the index entry but hand the shadow frame back to the
         caller without freeing it (remap-demotion reuses the frame)."""
         gpfn = self.machine.tiers.gpfn(master)
-        shadow = self.xarray.erase(gpfn)
+        shadow = self.shadows.pop(gpfn, None)
         if shadow is None:
             return None
         master.clear_flag(FrameFlags.SHADOWED)
@@ -126,14 +120,13 @@ class ShadowIndex:
     def rekey(self, old_master: Frame, new_master: Frame) -> None:
         """The master frame moved (e.g. stock migration); re-index."""
         old_gpfn = self.machine.tiers.gpfn(old_master)
-        shadow = self.xarray.erase(old_gpfn)
+        shadow = self.shadows.pop(old_gpfn, None)
         if shadow is None:
             return
         old_master.clear_flag(FrameFlags.SHADOWED)
         new_gpfn = self.machine.tiers.gpfn(new_master)
         new_master.set_flag(FrameFlags.SHADOWED)
-        self.xarray.store(new_gpfn, shadow)
-        self.xarray.set_mark(new_gpfn, XA_MARK_0)
+        self.shadows[new_gpfn] = shadow
         # Same shadow, new index key: close the old lifetime span and
         # open a fresh one so span keys stay consistent with the index.
         self.machine.obs.emit(
@@ -161,17 +154,24 @@ class ShadowIndex:
         m = self.machine
         freed = 0
         cycles = 0.0
+        # Lowest master gpfn first, as the kernel's marked XArray walk
+        # goes. Nothing in the loop adds a shadow, so one sort on entry
+        # gives the order of picking the lowest live entry each pass.
+        shadows = self.shadows
+        eligible = iter(sorted([
+            gpfn for gpfn, shadow in shadows.items()
+            if node_id is None or shadow.node_id == node_id
+        ]))
         while freed < nr:
             if m.debug.should_fail("shadow.reclaim_fail"):
                 # Injection: the batch stops early, as if every
                 # remaining shadow were pinned or already raced away.
                 break
-            found = self._first_reclaimable(node_id)
-            if found is None:
+            gpfn = next(eligible, None)
+            if gpfn is None:
                 break
-            gpfn, shadow = found
+            shadow = shadows.pop(gpfn)
             master = m.tiers.frame(gpfn)
-            self.xarray.erase(gpfn)
             master.clear_flag(FrameFlags.SHADOWED)
             self.restore_master_write(master)
             shadow.clear_flag(FrameFlags.IS_SHADOW)
@@ -189,21 +189,6 @@ class ShadowIndex:
             m.stats.bump("nomad.shadows_reclaimed", freed)
             m.obs.emit("shadow.reclaim", freed=freed, requested=nr)
         return freed, cycles
-
-    def _first_reclaimable(
-        self, node_id: Optional[int]
-    ) -> Optional[Tuple[int, Frame]]:
-        """First reclaim-marked shadow, optionally restricted to a node.
-
-        The unfiltered path keeps the original O(depth) ``first_marked``
-        walk; the filtered path scans marked entries in index order.
-        """
-        if node_id is None:
-            return self.xarray.first_marked(XA_MARK_0)
-        for gpfn, shadow in self.xarray.marked_items(XA_MARK_0):
-            if shadow.node_id == node_id:
-                return gpfn, shadow
-        return None
 
     def restore_master_write(self, master: Frame) -> None:
         """A master without a shadow no longer needs write protection;

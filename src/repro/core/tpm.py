@@ -32,7 +32,6 @@ from ..mmu.pte import (
     PTE_WRITE,
 )
 from ..obs.counters import tier_migration_key
-from ..sim.bus import MigrationAborted, MigrationCommitted
 from .queues import MigrationRequest
 from .shadow import ShadowIndex
 
@@ -224,7 +223,6 @@ class TransactionalMigrator:
                 m.tiers.free_page(new_frame)
                 blocked += costs.free_page
                 m.stats.bump("nomad.tpm_aborts")
-                m.bus.publish(MigrationAborted(frame, space, vpn))
                 yield spend(blocked)
                 m.obs.emit(
                     "tpm.abort",
@@ -268,7 +266,6 @@ class TransactionalMigrator:
             m.stats.bump("migrate.promotions")
             if len(m.tiers.nodes) > 2:
                 m.stats.bump(tier_migration_key("promote", dst_tier))
-            m.bus.publish(MigrationCommitted(frame, new_frame, space, vpn))
             yield spend(blocked)
             m.obs.emit(
                 "tpm.commit",
@@ -386,7 +383,6 @@ class TransactionalMigrator:
                     m.tiers.free_folio(new_head)
                     m.stats.bump("nomad.tpm_aborts")
                     m.stats.bump("nomad.tpm_chunk_aborts")
-                    m.bus.publish(MigrationAborted(frame, space, vpn))
                     yield spend(costs.thp_chunk_check + costs.free_page)
                     m.obs.emit(
                         "tpm.abort",
@@ -424,7 +420,6 @@ class TransactionalMigrator:
                 m.tiers.free_folio(new_head)
                 blocked += costs.free_page
                 m.stats.bump("nomad.tpm_aborts")
-                m.bus.publish(MigrationAborted(frame, space, vpn))
                 yield spend(blocked)
                 m.obs.emit(
                     "tpm.abort",
@@ -475,7 +470,6 @@ class TransactionalMigrator:
             m.stats.bump("migrate.promotions")
             if len(m.tiers.nodes) > 2:
                 m.stats.bump(tier_migration_key("promote", dst_tier))
-            m.bus.publish(MigrationCommitted(frame, new_head, space, vpn))
             yield spend(blocked)
             m.obs.emit(
                 "tpm.commit",

@@ -152,8 +152,10 @@ class CheckJob:
 
 # ----------------------------------------------------------------------
 # Profiles: named job corpora. "quick" is the CI gate -- every grid
-# cell on the Nomad small scenario for two seeds, plus a couple of TPP
-# cells (TPP exercises sync migration + reclaim paths Nomad skips).
+# cell on the Nomad small scenario for two seeds, a couple of TPP cells
+# (TPP exercises sync migration + reclaim paths Nomad skips), and one
+# large read-only Nomad cell: the small cells never fill the slow tier,
+# so only that one reaches shadow reclaim.
 # ----------------------------------------------------------------------
 def _quick_jobs() -> List[CheckJob]:
     jobs = [
@@ -165,6 +167,10 @@ def _quick_jobs() -> List[CheckJob]:
         CheckJob(policy="tpp", fault=fault, seed=42)
         for fault in ("alloc-fast", "chaos")
     ]
+    jobs.append(
+        CheckJob(policy="nomad", scenario="large", write_ratio=0.0,
+                 accesses=30_000, fault="shadow-starve", seed=42)
+    )
     return jobs
 
 

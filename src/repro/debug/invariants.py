@@ -33,7 +33,6 @@ import numpy as np
 
 from ..kernel.reclaim import MAX_RECLAIM_RETRIES
 from ..mem.frame import compound_head
-from ..mem.xarray import XA_MARK_0
 from ..mmu.pte import PTE_WRITE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -158,7 +157,7 @@ def _check_pte_mapping(machine: "Machine") -> List[str]:
 
 @register_invariant(
     "shadow.index",
-    "shadow XArray entries and SHADOWED/IS_SHADOW frame flags agree; "
+    "shadow index entries and SHADOWED/IS_SHADOW frame flags agree; "
     "no shadowed master is writable while its shadow is live",
 )
 def _check_shadow_index(machine: "Machine") -> List[str]:
@@ -169,7 +168,7 @@ def _check_shadow_index(machine: "Machine") -> List[str]:
     master_ids = set()
     if index is not None:
         pages = 0
-        for gpfn, shadow in index.xarray.items():
+        for gpfn, shadow in sorted(index.shadows.items()):
             master = tiers.frame(gpfn)
             master_ids.add(id(master))
             if not master.shadowed:
@@ -200,10 +199,6 @@ def _check_shadow_index(machine: "Machine") -> List[str]:
                     f"{shadow_ids[id(shadow)]} and {gpfn}"
                 )
             shadow_ids[id(shadow)] = gpfn
-            if not index.xarray.get_mark(gpfn, XA_MARK_0):
-                out.append(
-                    f"shadow of gpfn {gpfn} missing the reclaimable mark"
-                )
             pages += shadow.nr_pages
             # A live shadow means the master cannot have been dirtied:
             # every store must trap, so write permission is parked in

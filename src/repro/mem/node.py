@@ -89,12 +89,6 @@ class MemoryNode:
     def below_low(self) -> bool:
         return self.nr_free < self.wmark_low
 
-    def below_min(self) -> bool:
-        return self.nr_free < self.wmark_min
-
-    def above_high(self) -> bool:
-        return self.nr_free > self.wmark_high
-
     def reclaim_target(self) -> int:
         """Pages kswapd should free to restore the high watermark."""
         return max(0, self.wmark_high - self.nr_free)
@@ -217,11 +211,6 @@ class MemoryNode:
 
     def frame(self, pfn: int) -> Frame:
         return self.frames[pfn]
-
-    def used_frames(self):
-        """Iterate frames not currently on the free list (O(n))."""
-        free = self._free_set
-        return (f for f in self.frames if f.pfn not in free)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,7 +11,7 @@ initial-placement step.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from .page_table import PageTable
 
@@ -104,10 +104,6 @@ class AddressSpace:
             if vpn in vma:
                 return vma
         return None
-
-    def mapped_pages(self) -> Iterator[int]:
-        """All currently present vpns."""
-        return iter(self.page_table.mapped_vpns())
 
     @property
     def rss_pages(self) -> int:

@@ -41,9 +41,6 @@ class Tlb:
             self._entries.pop(next(iter(self._entries)))
         self._entries[(asid, vpn)] = 1
 
-    def invalidate(self, asid: int, vpn: int) -> None:
-        self._entries.pop((asid, vpn), None)
-
     def flush(self) -> None:
         self._entries.clear()
 

@@ -102,14 +102,6 @@ class Histogram:
         self.total += n
         self.sum += value * n
 
-    def observe_array(self, values: np.ndarray) -> None:
-        values = np.asarray(values)
-        if values.size == 0:
-            return
-        self.counts += bucket_values(self.edges, values)
-        self.total += int(values.size)
-        self.sum += float(values.sum())
-
     def merge(self, other: "Histogram") -> "Histogram":
         if not np.array_equal(self.edges, other.edges):
             raise ValueError("cannot merge histograms with different edges")

@@ -83,9 +83,9 @@ class TieringPolicy:
                 engine.kill(proc)
         self._procs.clear()
 
-    def subscribe(self, event_type, handler, priority: int = 0) -> Subscription:
+    def subscribe(self, event_type, handler) -> Subscription:
         """Subscribe on the machine bus; auto-unsubscribed on uninstall."""
-        sub = self.machine.bus.subscribe(event_type, handler, priority)
+        sub = self.machine.bus.subscribe(event_type, handler)
         self._subscriptions.append(sub)
         return sub
 

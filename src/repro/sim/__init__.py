@@ -7,9 +7,6 @@ from .bus import (
     FrameReplaced,
     HintFault,
     LowWatermark,
-    MigrationAborted,
-    MigrationCommitted,
-    Notify,
     NotifierBus,
     Subscription,
     WpFault,
@@ -36,7 +33,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "NotifierBus",
-    "Notify",
     "Subscription",
     "LowWatermark",
     "AllocFail",
@@ -45,8 +41,6 @@ __all__ = [
     "HintFault",
     "WpFault",
     "ChunkExecuted",
-    "MigrationCommitted",
-    "MigrationAborted",
     "RunScheduler",
     "RunReport",
     "Cpu",

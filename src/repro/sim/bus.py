@@ -3,20 +3,19 @@
 Every cross-layer interaction in the machine flows through one
 :class:`NotifierBus` instead of ad-hoc callbacks: the allocator announces
 watermark pressure, the fault path asks who will handle a hint or
-write-protect fault, the access engine streams executed chunks to
-samplers, and the migration machinery announces commits and aborts.
+write-protect fault, and the access engine streams executed chunks to
+samplers.
 
-Subscribers register a handler for an *event type* (one of the frozen
-dataclasses below) with a priority, exactly like ``notifier_chain_register``:
-higher priority runs first, FIFO within a priority. Two delivery modes
-mirror the kernel's notifier semantics:
+Subscribers register a handler for an *event type* (one of the
+dataclasses below), like ``notifier_chain_register``; each chain runs
+in subscription order. Two delivery modes mirror the kernel's notifier
+semantics:
 
-* :meth:`NotifierBus.publish` -- notify-all. Every handler runs unless
-  one returns :data:`Notify.STOP`, which vetoes the rest of the chain.
+* :meth:`NotifierBus.publish` -- notify-all. Every handler runs.
 * :meth:`NotifierBus.dispatch` -- consume. Handlers run in order until
-  one returns a non-``None`` value (other than :data:`Notify.DONE`);
-  that value is the dispatch result. Fault handling uses this: the
-  first policy handler that consumes the fault returns its cycle cost.
+  one returns a non-``None`` value; that value is the dispatch result.
+  Fault handling uses this: the first policy handler that consumes the
+  fault returns its cycle cost.
 
 Events carry their payload as typed fields; a few (``AllocFail``) are
 deliberately mutable so several subscribers can accumulate into them,
@@ -25,9 +24,7 @@ the way notifier callbacks mutate the ``void *data`` argument.
 
 from __future__ import annotations
 
-import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Type, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .cpu import Cpu
 
 __all__ = [
-    "Notify",
     "Subscription",
     "NotifierBus",
     "LowWatermark",
@@ -49,17 +45,7 @@ __all__ = [
     "HintFault",
     "WpFault",
     "ChunkExecuted",
-    "MigrationCommitted",
-    "MigrationAborted",
 ]
-
-
-class Notify(enum.Enum):
-    """Handler return codes (kernel ``NOTIFY_*`` analogues)."""
-
-    DONE = "done"  # not interested; keep calling the chain
-    OK = "ok"  # handled; keep calling the chain
-    STOP = "stop"  # handled; veto the rest of the chain
 
 
 # ----------------------------------------------------------------------
@@ -133,118 +119,63 @@ class ChunkExecuted:
     completion_ts: "np.ndarray"
 
 
-@dataclass
-class MigrationCommitted:
-    """A transactional migration committed: ``frame`` -> ``new_frame``."""
-
-    frame: "Frame"
-    new_frame: "Frame"
-    space: "AddressSpace"
-    vpn: int
-
-
-@dataclass
-class MigrationAborted:
-    """A transactional migration rolled back (dirty-during-copy race)."""
-
-    frame: "Frame"
-    space: "AddressSpace"
-    vpn: int
-    reason: str = "dirty"
-
-
 # ----------------------------------------------------------------------
 # The bus
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(eq=False)
 class Subscription:
     """A registered handler; pass back to :meth:`NotifierBus.unsubscribe`."""
 
     event_type: Type[Any]
     handler: Callable[[Any], Any]
-    priority: int
-    seq: int = field(default=0, compare=False)
-    active: bool = field(default=True, compare=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "active" if self.active else "cancelled"
-        return (
-            f"<Subscription {self.event_type.__name__} prio={self.priority} "
-            f"{state}>"
-        )
 
 
 class NotifierBus:
-    """Priority-ordered publish/subscribe over typed events."""
+    """Publish/subscribe over typed events, in subscription order."""
 
     def __init__(self) -> None:
         self._chains: Dict[type, List[Subscription]] = {}
-        self._seq = itertools.count()
 
     # ------------------------------------------------------------------
     def subscribe(
-        self,
-        event_type: Type[Any],
-        handler: Callable[[Any], Any],
-        priority: int = 0,
+        self, event_type: Type[Any], handler: Callable[[Any], Any]
     ) -> Subscription:
-        """Register ``handler`` for ``event_type``.
+        """Append ``handler`` to ``event_type``'s chain.
 
-        Higher ``priority`` runs first; FIFO within a priority level.
         Returns a :class:`Subscription` for later unsubscription.
         """
         if not isinstance(event_type, type):
             raise TypeError(f"subscribe() needs an event class, got {event_type!r}")
-        sub = Subscription(event_type, handler, priority, next(self._seq))
-        chain = self._chains.setdefault(event_type, [])
-        chain.append(sub)
-        chain.sort(key=lambda s: (-s.priority, s.seq))
+        sub = Subscription(event_type, handler)
+        self._chains.setdefault(event_type, []).append(sub)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
         """Remove a subscription (idempotent)."""
-        chain = self._chains.get(sub.event_type)
-        if chain is not None:
-            try:
-                chain.remove(sub)
-            except ValueError:
-                pass
-        sub.active = False
+        chain = self._chains.get(sub.event_type, [])
+        if sub in chain:
+            chain.remove(sub)
 
     def has_subscribers(self, event_type: Type[Any]) -> bool:
         return bool(self._chains.get(event_type))
 
-    def nr_subscribers(self, event_type: Type[Any]) -> int:
-        return len(self._chains.get(event_type, ()))
-
     # ------------------------------------------------------------------
-    def publish(self, event: Any) -> int:
-        """Notify-all delivery; returns how many handlers ran.
-
-        A handler returning :data:`Notify.STOP` vetoes the remainder of
-        the chain (it still counts as having run).
-        """
-        ran = 0
+    def publish(self, event: Any) -> None:
+        """Notify-all delivery to the chain as it stood at the call."""
         for sub in tuple(self._chains.get(type(event), ())):
-            result = sub.handler(event)
-            ran += 1
-            if result is Notify.STOP:
-                break
-        return ran
+            sub.handler(event)
 
     def dispatch(self, event: Any) -> Any:
         """Consume delivery: the first handler returning a value wins.
 
-        Handlers returning ``None`` or :data:`Notify.DONE` decline and
-        the chain continues; any other return value consumes the event
-        and becomes the dispatch result. Returns ``None`` when no
-        handler consumed the event.
+        Handlers returning ``None`` decline and the chain continues; any
+        other return value consumes the event and becomes the dispatch
+        result. Returns ``None`` when no handler consumed the event.
         """
         for sub in tuple(self._chains.get(type(event), ())):
             result = sub.handler(event)
-            if result is None or result is Notify.DONE:
-                continue
-            return result
+            if result is not None:
+                return result
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -67,11 +67,6 @@ class CostModel:
     # Reading the PMD's accessed/dirty state for one chunk re-check.
     thp_chunk_check: float = 120.0
 
-    def access_cycles(self, tier: int, write: bool) -> float:
-        """Latency of one cacheline access against ``tier``."""
-        lat = self.write_latency if write else self.read_latency
-        return lat[tier]
-
     def page_copy_cycles(self, src_tier: int, dst_tier: int) -> float:
         """Cycles to copy one page from ``src_tier`` to ``dst_tier``."""
         rate = self.copy_bytes_per_cycle[src_tier][dst_tier]

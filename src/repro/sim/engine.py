@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from time import perf_counter_ns
-from typing import Any, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Tuple
 
 __all__ = ["Engine", "Event", "Process", "SimulationError"]
 
@@ -291,9 +291,6 @@ class Engine:
     def pending(self) -> int:
         """Number of scheduled (possibly stale) resumptions."""
         return len(self._queue)
-
-    def active_processes(self) -> Iterable[Process]:
-        return [p for p in self._processes if p.alive]
 
     # ------------------------------------------------------------------
     # Internals

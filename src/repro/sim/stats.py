@@ -121,7 +121,6 @@ class Stats:
             "nomad.remap_demotions",
             "fault.total",
         )
-        self._marks: Dict[str, Tuple[float, Dict[str, float]]] = {}
 
     # ------------------------------------------------------------------
     # Counters
@@ -143,13 +142,6 @@ class Stats:
     def breakdown(self, cpu: str) -> Dict[str, float]:
         """Cycle totals per category for one CPU (Figure 2 rows)."""
         return dict(self.cpu_time.get(cpu, {}))
-
-    def breakdown_fractions(self, cpu: str, total: Optional[float] = None) -> Dict[str, float]:
-        cats = self.breakdown(cpu)
-        denom = total if total is not None else sum(cats.values())
-        if denom <= 0:
-            return {k: 0.0 for k in cats}
-        return {k: v / denom for k, v in cats.items()}
 
     # ------------------------------------------------------------------
     # Access windows / bandwidth
@@ -179,19 +171,6 @@ class Stats:
         hi = min(hi, len(self.window_marks))
         base = self.window_marks[lo - 1][key] if lo > 0 else 0.0
         return self.window_marks[hi - 1][key] - base
-
-    def mark(self, name: str, now: float) -> None:
-        """Snapshot counters at ``now`` so a later phase can be diffed."""
-        self._marks[name] = (now, dict(self.counters))
-
-    def counters_since(self, name: str) -> Dict[str, float]:
-        if name not in self._marks:
-            raise KeyError(f"no mark named {name!r}")
-        _when, snap = self._marks[name]
-        return {
-            key: self.counters[key] - snap.get(key, 0.0)
-            for key in self.counters
-        }
 
     def _bandwidth(self, accesses: int, cycles: float) -> float:
         """GB/s given access count and elapsed cycles at ``freq_ghz``."""

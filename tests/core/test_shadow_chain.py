@@ -20,11 +20,11 @@ from repro.sim.platform import three_tier
 from ..conftest import make_machine, tiny_platform
 
 
-def make_machine3():
+def make_machine3(**config_kwargs):
     """A three-tier machine with 256-page nodes."""
     return Machine(
         three_tier(tiny_platform(), ssd_gb=1.0),
-        MachineConfig(chunk_size=64),
+        MachineConfig(chunk_size=64, **config_kwargs),
     )
 
 

@@ -164,7 +164,7 @@ def test_shadow_index_catches_writable_master():
 def test_shadow_index_catches_orphaned_flags():
     machine = nomad_machine()
     space, vma, master, shadow = shadowed_master(machine)
-    machine.policy.shadow_index.xarray.erase(machine.tiers.gpfn(master))
+    del machine.policy.shadow_index.shadows[machine.tiers.gpfn(master)]
     found = details(machine, "shadow.index")
     assert any("orphaned SHADOWED" in d for d in found)
     assert any("orphaned IS_SHADOW" in d for d in found)

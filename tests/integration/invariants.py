@@ -1,6 +1,6 @@
 """Whole-machine invariants checked after arbitrary simulation runs."""
 
-from repro.mmu.pte import PTE_SOFT_SHADOW_RW, PTE_WRITE
+from repro.debug.invariants import InvariantChecker
 
 __all__ = ["check_invariants"]
 
@@ -8,7 +8,9 @@ __all__ = ["check_invariants"]
 def check_invariants(machine) -> None:
     _check_frame_accounting(machine)
     _check_lru_consistency(machine)
-    _check_shadow_invariants(machine)
+    InvariantChecker(
+        machine, checks=["shadow.index"], raise_on_violation=True
+    ).check_now()
 
 
 def _check_frame_accounting(machine) -> None:
@@ -48,26 +50,3 @@ def _check_lru_consistency(machine) -> None:
         for frame in lru.inactive[nid]:
             assert frame.on_lru and not frame.active
             assert frame.node_id == nid
-
-
-def _check_shadow_invariants(machine) -> None:
-    """Section 3.2's correctness conditions for the shadow index."""
-    policy = machine.policy
-    index = getattr(policy, "shadow_index", None)
-    if index is None:
-        return
-    for gpfn, shadow in index.xarray.items():
-        master = machine.tiers.frame(gpfn)
-        assert master.shadowed, f"indexed master {gpfn} lost SHADOWED flag"
-        assert shadow.is_shadow, f"shadow of {gpfn} lost IS_SHADOW flag"
-        assert not shadow.mapped, "shadow page is mapped"
-        assert not shadow.on_lru, "shadow page on LRU"
-        assert shadow.node_id == 1, "shadow page not on the slow tier"
-        # A live shadow implies a clean, write-protected master: stores
-        # would have taken the shadow fault and discarded the shadow.
-        for space, vpn in master.rmap:
-            flags = int(space.page_table.flags[vpn])
-            if flags & PTE_SOFT_SHADOW_RW:
-                assert not flags & PTE_WRITE, (
-                    "shadowed master writable while shadow is live"
-                )

@@ -51,8 +51,3 @@ def test_rss_counts_only_present(machine):
     assert space.rss_pages == 10
 
 
-def test_mapped_pages_iterates_present(machine):
-    space = machine.create_space("t")
-    vma = space.mmap(4)
-    machine.populate(space, [vma.start, vma.start + 2], 0)
-    assert list(space.mapped_pages()) == [vma.start, vma.start + 2]

@@ -12,13 +12,6 @@ def test_tlb_miss_then_hit():
     assert tlb.misses == 1
 
 
-def test_tlb_invalidate():
-    tlb = Tlb("cpu0")
-    tlb.insert(1, 5)
-    tlb.invalidate(1, 5)
-    assert not tlb.lookup(1, 5)
-
-
 def test_tlb_flush():
     tlb = Tlb("cpu0")
     for vpn in range(10):

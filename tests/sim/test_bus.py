@@ -1,13 +1,8 @@
-"""NotifierBus semantics: ordering, veto, consume, unsubscribe."""
+"""NotifierBus semantics: subscription order, consume, unsubscribe."""
 
 import pytest
 
-from repro.sim.bus import (
-    AllocFail,
-    LowWatermark,
-    Notify,
-    NotifierBus,
-)
+from repro.sim.bus import AllocFail, LowWatermark, NotifierBus
 
 
 def test_publish_runs_all_handlers_in_order():
@@ -15,48 +10,8 @@ def test_publish_runs_all_handlers_in_order():
     seen = []
     bus.subscribe(LowWatermark, lambda e: seen.append("a"))
     bus.subscribe(LowWatermark, lambda e: seen.append("b"))
-    ran = bus.publish(LowWatermark(tier=0))
-    assert ran == 2
+    bus.publish(LowWatermark(tier=0))
     assert seen == ["a", "b"]
-
-
-def test_priority_orders_before_fifo():
-    bus = NotifierBus()
-    seen = []
-    bus.subscribe(LowWatermark, lambda e: seen.append("low"), priority=-1)
-    bus.subscribe(LowWatermark, lambda e: seen.append("default"))
-    bus.subscribe(LowWatermark, lambda e: seen.append("high"), priority=10)
-    bus.publish(LowWatermark(tier=0))
-    assert seen == ["high", "default", "low"]
-
-
-def test_fifo_within_same_priority():
-    bus = NotifierBus()
-    seen = []
-    for tag in ("first", "second", "third"):
-        bus.subscribe(LowWatermark, lambda e, t=tag: seen.append(t), priority=5)
-    bus.publish(LowWatermark(tier=0))
-    assert seen == ["first", "second", "third"]
-
-
-def test_stop_vetoes_rest_of_chain():
-    bus = NotifierBus()
-    seen = []
-
-    def veto(event):
-        seen.append("veto")
-        return Notify.STOP
-
-    bus.subscribe(LowWatermark, veto, priority=1)
-    bus.subscribe(LowWatermark, lambda e: seen.append("never"))
-    ran = bus.publish(LowWatermark(tier=0))
-    assert seen == ["veto"]
-    assert ran == 1  # the vetoing handler still counts as having run
-
-
-def test_publish_returns_zero_without_subscribers():
-    bus = NotifierBus()
-    assert bus.publish(LowWatermark(tier=0)) == 0
 
 
 def test_dispatch_first_value_wins():
@@ -75,18 +30,11 @@ def test_dispatch_first_value_wins():
         seen.append("never")
         return 7.0
 
-    bus.subscribe(LowWatermark, decline, priority=2)
-    bus.subscribe(LowWatermark, consume, priority=1)
-    bus.subscribe(LowWatermark, never, priority=0)
+    bus.subscribe(LowWatermark, decline)
+    bus.subscribe(LowWatermark, consume)
+    bus.subscribe(LowWatermark, never)
     assert bus.dispatch(LowWatermark(tier=0)) == 42.0
     assert seen == ["decline", "consume"]
-
-
-def test_dispatch_skips_notify_done():
-    bus = NotifierBus()
-    bus.subscribe(LowWatermark, lambda e: Notify.DONE, priority=1)
-    bus.subscribe(LowWatermark, lambda e: "handled")
-    assert bus.dispatch(LowWatermark(tier=0)) == "handled"
 
 
 def test_dispatch_unhandled_returns_none():
@@ -110,7 +58,6 @@ def test_unsubscribe_removes_handler():
     bus.unsubscribe(sub)
     bus.publish(LowWatermark(tier=0))
     assert seen == ["x"]
-    assert not sub.active
     assert not bus.has_subscribers(LowWatermark)
 
 
@@ -119,7 +66,7 @@ def test_unsubscribe_is_idempotent():
     sub = bus.subscribe(LowWatermark, lambda e: None)
     bus.unsubscribe(sub)
     bus.unsubscribe(sub)  # no error
-    assert bus.nr_subscribers(LowWatermark) == 0
+    assert not bus.has_subscribers(LowWatermark)
 
 
 def test_unsubscribe_during_publish_still_delivers_snapshot():
@@ -131,7 +78,7 @@ def test_unsubscribe_during_publish_still_delivers_snapshot():
         seen.append("first")
         bus.unsubscribe(subs["second"])
 
-    subs["first"] = bus.subscribe(LowWatermark, first, priority=1)
+    subs["first"] = bus.subscribe(LowWatermark, first)
     subs["second"] = bus.subscribe(LowWatermark, lambda e: seen.append("second"))
     # The chain is snapshotted at publish time, so "second" still runs
     # this round but is gone for the next.
@@ -156,7 +103,7 @@ def test_events_route_by_exact_type():
     bus.subscribe(LowWatermark, lambda e: seen.append("lw"))
     bus.publish(AllocFail(tier=0, nr=1))
     assert seen == []
-    assert bus.nr_subscribers(AllocFail) == 0
+    assert not bus.has_subscribers(AllocFail)
 
 
 def test_subscribe_rejects_non_class():

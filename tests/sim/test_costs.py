@@ -20,13 +20,6 @@ def test_constants():
     assert CACHELINE == 64
 
 
-def test_access_cycles_by_tier_and_direction(costs):
-    assert costs.access_cycles(0, write=False) == 300.0
-    assert costs.access_cycles(1, write=False) == 900.0
-    assert costs.access_cycles(0, write=True) == 310.0
-    assert costs.access_cycles(1, write=True) == 950.0
-
-
 def test_copy_matrix_harmonic_combination():
     matrix = build_copy_matrix(2.0, (12.0, 4.0), (20.0, 20.0))
     # fast->fast: read 6 B/cy, write 10 B/cy -> 1/(1/6+1/10) = 3.75

@@ -332,19 +332,6 @@ def test_zero_delay_runs_in_same_time():
     assert times == [0.0]
 
 
-def test_active_processes_listing():
-    engine = Engine()
-
-    def proc():
-        yield 10
-
-    p1 = engine.spawn(proc(), "a")
-    p2 = engine.spawn(proc(), "b")
-    assert set(engine.active_processes()) == {p1, p2}
-    engine.run()
-    assert list(engine.active_processes()) == []
-
-
 def test_exception_in_process_propagates():
     engine = Engine()
 

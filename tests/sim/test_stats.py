@@ -40,21 +40,6 @@ def test_account_rejects_negative():
         stats.account("cpu0", "user", -1)
 
 
-def test_breakdown_fractions():
-    stats = Stats()
-    stats.account("c", "a", 75)
-    stats.account("c", "b", 25)
-    fracs = stats.breakdown_fractions("c")
-    assert fracs == {"a": 0.75, "b": 0.25}
-
-
-def test_breakdown_fractions_with_total():
-    stats = Stats()
-    stats.account("c", "a", 50)
-    fracs = stats.breakdown_fractions("c", total=200)
-    assert fracs == {"a": 0.25}
-
-
 def test_bandwidth_math():
     stats = Stats(freq_ghz=1.0)  # 1 cycle == 1 ns
     stats.record_window(make_window(0, 1000, reads=100))
@@ -190,22 +175,6 @@ def test_phase_counter_delta_end_frac_past_one_clamps():
     stats.bump("migrate.promotions", 3)
     stats.record_window(make_window(0, 100))
     assert stats.phase_counter_delta("migrate.promotions", 0.0, 2.0) == 3
-
-
-def test_marks_and_counters_since():
-    stats = Stats()
-    stats.bump("a", 1)
-    stats.mark("m", now=10.0)
-    stats.bump("a", 2)
-    stats.bump("b", 5)
-    since = stats.counters_since("m")
-    assert since["a"] == 2
-    assert since["b"] == 5
-
-
-def test_counters_since_unknown_mark():
-    with pytest.raises(KeyError):
-        Stats().counters_since("nope")
 
 
 def test_snapshot_is_a_copy():

@@ -1,6 +1,7 @@
 """Repository-level consistency: the documentation, CLI, and benchmark
 tree must stay in sync as the project evolves."""
 
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -69,3 +70,20 @@ def test_examples_directory_is_documented():
     readme = read("README.md")
     for script in sorted(p.name for p in (REPO / "examples").glob("*.py")):
         assert script in readme, f"examples/{script} not mentioned in README"
+
+
+def test_source_paths_named_in_docs_exist():
+    # A path like `repro/mem/frame.py` (or `src/repro/...`) in a document
+    # must name a file that exists; `::name` suffixes are not checked.
+    docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+    docs += sorted(
+        str(p.relative_to(REPO)) for p in (REPO / "docs").glob("*.md")
+    )
+    pattern = re.compile(r"(?<![\w/.-])(?:src/)?(repro/[\w/]+\.py)")
+    missing = []
+    for doc in docs:
+        for lineno, line in enumerate(read(doc).splitlines(), 1):
+            for path in pattern.findall(line):
+                if not (REPO / "src" / path).is_file():
+                    missing.append(f"{doc}:{lineno}: {path}")
+    assert not missing, "documents name missing files:\n" + "\n".join(missing)
